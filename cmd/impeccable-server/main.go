@@ -1,6 +1,6 @@
 // Command impeccable-server runs the IMPECCABLE campaign engine as a
-// long-lived, multi-tenant HTTP service: submitted campaigns queue onto
-// a bounded worker pool and share a sharded docking-score cache, so
+// long-lived, multi-tenant HTTP service: submitted campaigns queue for
+// lease-holding workers and share a sharded docking-score cache, so
 // overlapping submissions dedupe their most expensive evaluations.
 // With -state-dir the service is crash-safe: job lifecycle events are
 // journaled ahead of acknowledgment and the caches are checkpointed,
@@ -15,12 +15,15 @@
 //	                  [-compact-every D] [-max-queued N] [-max-jobs N]
 //	                  [-lease-ttl D] [-tenant SPEC ...] [-preempt-after D]
 //
-// -workers=0 starts the server as a pure coordinator with zero
-// in-process workers: every campaign executes on remote
-// impeccable-worker processes pulling jobs through the lease API
-// (POST /api/v1/worker/lease|heartbeat|complete). Workers that stop
-// heartbeating for -lease-ttl lose their job, which re-enters the
-// queue under its original ID and reruns byte-identically.
+// There is one execution path, the lease: -workers=N starts N
+// in-process workers ("local/0" … in job listings) that lease,
+// heartbeat and complete jobs by function call, exactly as remote
+// impeccable-worker processes do over POST
+// /api/v1/worker/lease|heartbeat|complete; both drain the same queue.
+// -workers=0 starts the server as a pure coordinator: every campaign
+// executes on remote workers. A worker that stops heartbeating for
+// -lease-ttl loses its job, which re-enters the queue under its
+// original ID and reruns byte-identically.
 //
 // Tenancy: submissions carry a tenant (body field or X-Tenant header;
 // absent = "default") and pending work is arbitrated per tenant by
@@ -35,8 +38,8 @@
 // SPEC is name[,weight=N][,max-queued=N][,max-running=N][,rate=F][,burst=N];
 // unnamed tenants get weight 1 and the -max-queued bound. -preempt-after
 // arms preemption: a queued priority job starved that long may revoke
-// an over-share tenant's youngest remote lease (the revoked job
-// requeues and reruns byte-identically).
+// an over-share tenant's youngest lease, in-process or remote (the
+// revoked job requeues and reruns byte-identically).
 //
 // Quickstart:
 //
@@ -48,11 +51,11 @@
 //	curl localhost:8080/api/v1/cache
 //
 // On SIGTERM/SIGINT the server drains gracefully: /healthz flips to
-// 503 "draining" (load balancers stop routing), the queue stops
-// popping, running campaigns are canceled, a final cache checkpoint
-// lands in -state-dir, and only then does the HTTP listener close.
-// Queued and interrupted jobs are NOT journaled as canceled — the next
-// start re-enqueues them; outstanding remote leases survive into the
+// 503 "draining" (load balancers stop routing), no more leases are
+// granted, in-process runs are aborted, a final cache checkpoint lands
+// in -state-dir, and only then does the HTTP listener close. A drain
+// changes no job's state — the next start re-enqueues queued and
+// in-process-held jobs; outstanding remote leases survive into the
 // next start too.
 package main
 
@@ -124,7 +127,7 @@ func (tf tenantFlags) Set(spec string) error {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", -1, "in-process concurrent campaigns (-1 = half of GOMAXPROCS, 0 = remote workers only)")
+	workers := flag.Int("workers", -1, "in-process lease-holding workers, listed as local/<n> (-1 = half of GOMAXPROCS, 0 = remote workers only)")
 	campaignWorkers := flag.Int("campaign-workers", 0, "worker pool width inside each campaign (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 64, "cache shard count")
 	maxCache := flag.Int("max-cache", 0, "score-cache entry bound (0 = unbounded)")
@@ -135,7 +138,7 @@ func main() {
 	compactEvery := flag.Duration("compact-every", 0, "journal compaction + blob GC cadence when -state-dir is set (0 = 1m, negative = never)")
 	maxQueued := flag.Int("max-queued", 0, "pending-queue bound; overflow submissions get HTTP 429 (0 = unbounded)")
 	maxJobs := flag.Int("max-jobs", 0, "terminal job records kept in memory and listings (0 = unbounded; the journal keeps full history)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "remote-worker lease TTL; a worker silent this long loses its job (0 = 30s)")
+	leaseTTL := flag.Duration("lease-ttl", 0, "lease TTL; a worker (in-process or remote) silent this long loses its job (0 = 30s)")
 	accessLog := flag.Bool("access-log", false, "log one line per HTTP request (method, path, status, latency, request ID)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (do not enable on untrusted networks)")
 	tenants := tenantFlags{}
@@ -203,13 +206,13 @@ func main() {
 	case err := <-errc:
 		log.Fatalf("serve: %v", err)
 	case s := <-sig:
-		log.Printf("received %v, draining (running jobs cancel; queued jobs resume on next start)", s)
+		log.Printf("received %v, draining (in-process runs abort; their jobs and queued jobs resume on next start)", s)
 	}
 
 	// Drain the service first, with the listener still up: /healthz
 	// flips to 503 "draining" immediately, so load balancers stop
 	// routing here before the socket disappears, and status/result
-	// queries keep answering while running campaigns wind down.
+	// queries keep answering while in-process runs wind down.
 	svc.Shutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -171,12 +171,14 @@ var ErrQueueFull = service.ErrQueueFull
 // Retry-After).
 var ErrRateLimited = service.ErrRateLimited
 
-// ErrLeaseLost is returned to a remote worker whose lease on a job is
-// no longer valid (expired, re-assigned or canceled); the worker must
-// abandon the run.
+// ErrLeaseLost is returned to a worker whose lease on a job is no
+// longer valid (expired, preempted, re-assigned or canceled); the
+// worker must abandon the run.
 var ErrLeaseLost = service.ErrLeaseLost
 
-// Job lifecycle states.
+// Job lifecycle states. Every executing job is JobLeased — to a remote
+// worker or to an in-process one ("local/<n>"); JobRunning is accepted
+// in listing filters and old journals but never produced.
 const (
 	JobQueued   = service.StateQueued
 	JobLeased   = service.StateLeased

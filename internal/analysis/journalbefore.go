@@ -15,12 +15,12 @@ import (
 // record that is not preceded, in the same function, by a journal
 // append.
 //
-// The invariant has three deliberate exceptions, each carrying an
-// //impeccable:unjournaled directive at the site: the in-process
-// execute path (journals after the run, so drain interruptions resume
-// instead of acking), the drain itself (interrupted jobs must stay
-// in-flight in the journal), and journal replay (which applies states
-// read from the journal).
+// The invariant has one deliberate exception, carrying an
+// //impeccable:unjournaled directive at each site: journal replay,
+// which applies states read from the journal itself. Every live
+// transition — in-process holders and remote workers share one lease
+// path — journals first; TestUnjournaledOnlyInReplay keeps the waiver
+// from spreading.
 type JournalBefore struct {
 	// Packages lists the import paths under the invariant.
 	Packages []string

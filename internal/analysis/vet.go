@@ -48,7 +48,7 @@ func DefaultAnalyzers() []Analyzer {
 			StateField:     "state",
 			StateValueType: "impeccable/internal/service.JobState",
 			Terminal:       []string{"StateDone", "StateFailed", "StateCanceled"},
-			JournalCalls:   []string{"record", "recordBatch", "append", "appendBatch"},
+			JournalCalls:   []string{"record", "append"},
 		},
 		&MetricsDecl{RegistryType: "impeccable/internal/obs.Registry"},
 		&MapOrder{Packages: SciencePackages},

@@ -64,7 +64,7 @@ func fillJournal(tb testing.TB, dir string, segmentBytes int64, inlineLimit, n i
 		for i := lo; i <= n && i < lo+batch; i++ {
 			evs = append(evs, terminalJobEvents(i, benchSummary(i))...)
 		}
-		if err := jl.appendBatch(evs); err != nil {
+		if err := jl.append(evs...); err != nil {
 			tb.Fatal(err)
 		}
 	}

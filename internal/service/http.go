@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -162,7 +163,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// The snapshot comes back from the cancel itself (taken under the
 	// job's lock): re-reading through the record table here could race
 	// a concurrent completion's prune and misreport the outcome.
-	snap, err := s.sched.cancelJobTraced(r.PathValue("id"), RequestIDFrom(r.Context()))
+	snap, err := s.sched.cancelJob(r.PathValue("id"), RequestIDFrom(r.Context()))
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		writeError(w, http.StatusNotFound, "unknown job")
@@ -393,6 +394,11 @@ func (s *Service) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.WorkerID == "" {
 		writeError(w, http.StatusBadRequest, "worker_id is required")
+		return
+	}
+	if strings.HasPrefix(req.WorkerID, localWorkerPrefix) {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("worker_id prefix %q is reserved for in-process workers", localWorkerPrefix))
 		return
 	}
 	grant, err := s.Lease(req.WorkerID, time.Duration(req.TTLSeconds*float64(time.Second)))

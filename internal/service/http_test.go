@@ -131,7 +131,7 @@ func TestHTTPCancel(t *testing.T) {
 	id := snap.ID
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		doJSON(t, "GET", srv.URL+"/api/v1/campaigns/"+id, nil, &snap)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -249,7 +249,7 @@ func TestHTTPQueueFull429(t *testing.T) {
 	// remain.
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		doJSON(t, "GET", srv.URL+"/api/v1/campaigns/"+snap.ID, nil, &snap)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -482,6 +482,11 @@ func TestHTTPWorkerEndpointErrors(t *testing.T) {
 	var apiErr apiError
 	if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/lease", map[string]any{}, &apiErr); code != http.StatusBadRequest {
 		t.Fatalf("anonymous lease = %d, want 400", code)
+	}
+	// The in-process workers' reserved ID prefix: 400.
+	if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/lease",
+		map[string]any{"worker_id": localWorkerPrefix + "7"}, &apiErr); code != http.StatusBadRequest {
+		t.Fatalf("reserved-prefix lease = %d, want 400", code)
 	}
 	// Heartbeat for an unknown job: 404.
 	if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/heartbeat",

@@ -36,10 +36,10 @@
 // Replay semantics (see Open): a job whose last journaled event is
 // terminal is restored as a served-from-journal record (summary, error
 // and timestamps intact, full in-memory result gone); a job that was
-// queued or running when the process died is re-enqueued under its
-// original ID with its SubmitRequest — Seed and LibOffset ride along,
-// so the rerun is deterministic and, against a restored cache
-// snapshot, warm-cache-identical.
+// queued or held by an in-process worker when the process died is
+// re-enqueued under its original ID with its SubmitRequest — Seed and
+// LibOffset ride along, so the rerun is deterministic and, against a
+// restored cache snapshot, warm-cache-identical.
 package service
 
 import (
@@ -86,8 +86,8 @@ type eventKind string
 
 const (
 	evSubmitted eventKind = "submitted"
-	evStarted   eventKind = "started"
-	evLeased    eventKind = "leased"   // handed to a remote worker under a TTL lease
+	evStarted   eventKind = "started"  // replay-only: in-process runs of older builds
+	evLeased    eventKind = "leased"   // handed to a worker under a TTL lease
 	evRequeued  eventKind = "requeued" // lease expired; job back in the queue
 	evDone      eventKind = "done"
 	evFailed    eventKind = "failed"
@@ -439,18 +439,13 @@ func (jl *journal) sizeBytes() int64 {
 	return jl.size
 }
 
-// append writes one event as a JSON line and fsyncs it, so an event
-// that has been acknowledged (e.g. a submit that returned an ID)
-// survives an immediate crash.
-func (jl *journal) append(ev journalEvent) error {
-	return jl.appendBatch([]journalEvent{ev})
-}
-
-// appendBatch writes several events as JSON lines under a single
-// fsync. The lease-expiry watchdog journals every requeue of a sweep
-// this way — after a restart re-arms many dead workers' leases with
-// the same TTL, they all lapse on one tick, and per-event fsyncs there
-// would stall the scheduler mutex for the whole run of writes.
+// append writes the events as JSON lines under a single fsync, so an
+// event that has been acknowledged (e.g. a submit that returned an ID)
+// survives an immediate crash. The lease-expiry watchdog journals every
+// requeue of a sweep in one call — after a restart re-arms many dead
+// workers' leases with the same TTL, they all lapse on one tick, and
+// per-event fsyncs there would stall the scheduler mutex for the whole
+// run of writes.
 //
 // Each event is spilled (payloads above InlineLimit move to the blob
 // store), chained (Hash set from the job's previous event), and — when
@@ -458,7 +453,7 @@ func (jl *journal) append(ev journalEvent) error {
 // Merkle root over the job's event hashes. Chain state and blob
 // reference counts commit only after the fsync succeeds, so a failed
 // append leaves the in-memory provenance matching the disk.
-func (jl *journal) appendBatch(events []journalEvent) error {
+func (jl *journal) append(events ...journalEvent) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -693,11 +688,13 @@ func jobNumber(id string) (int, bool) {
 // replayJournal reduces the event stream to restorable job records in
 // submission order, plus the highest job number seen (so a reopened
 // scheduler continues the ID sequence without collisions). Jobs left
-// non-terminal by the stream come back StateQueued with a fresh cancel
-// channel, ready to re-enqueue — except jobs whose last event is a
+// non-terminal by the stream come back StateQueued, ready to
+// re-enqueue — except jobs whose last event is a remote worker's
 // lease, which come back StateLeased with the holder preserved so the
-// worker can re-attach across the restart; duplicate started events (a
-// job interrupted once already) simply overwrite the start time.
+// worker can re-attach across the restart. A lease held by an
+// in-process holder (worker ID under localWorkerPrefix) died with the
+// process and replays as queued, as do the started events older builds
+// journaled for in-process runs.
 //
 // Spilled SubmitRequests are resolved eagerly through blobs (listings
 // and reruns need Target and Seed); spilled summaries stay refs and
@@ -753,8 +750,12 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 	for i := range events {
 		ev := events[i]
 		if ev.Kind == evCheckpoint {
+			// Checkpoints collapse closed jobs only. One whose state is
+			// missing or unknown (a damaged or foreign line) restores
+			// nothing: queued under a state lease never grants, it would
+			// be silently dropped from its tenant's queue.
 			req := resolveReq(&ev)
-			if req == nil {
+			if req == nil || !ev.State.Terminal() {
 				continue
 			}
 			j := &job{
@@ -765,7 +766,6 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 				finished:    ev.Time,
 				err:         ev.Error,
 				leaseWorker: ev.Worker,
-				cancel:      make(chan struct{}),
 			}
 			if ev.Submitted != nil {
 				j.submitted = *ev.Submitted
@@ -799,7 +799,6 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 				req:       *req,
 				state:     StateQueued,
 				submitted: ev.Time,
-				cancel:    make(chan struct{}),
 			})
 			continue
 		}
@@ -810,9 +809,16 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 		case evStarted:
 			j.started = ev.Time
 		case evLeased:
+			j.started = ev.Time
+			if strings.HasPrefix(ev.Worker, localWorkerPrefix) {
+				// An in-process holder died with the process that wrote
+				// this event: the job is simply queued again, no TTL wait.
+				j.state = StateQueued
+				j.leaseWorker = ""
+				break
+			}
 			j.state = StateLeased
 			j.leaseToken = ev.Token
-			j.started = ev.Time
 		case evRequeued:
 			j.state = StateQueued
 			j.leaseWorker = ""
@@ -837,7 +843,7 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 		}
 	}
 	// Interrupted jobs rerun from scratch: reset the stale start time so
-	// their snapshots read as queued until a worker re-pops them. Leased
+	// their snapshots read as queued until a worker leases them. Leased
 	// jobs keep theirs — the remote worker may still be running and
 	// re-attach after the restart (restore re-arms the lease TTL).
 	for _, j := range jobs {

@@ -2,6 +2,8 @@ package service
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -96,8 +98,8 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// B and C are identical submissions; B starts running (one worker),
-	// C stays queued. Then the process "dies".
+	// B and C are identical submissions; B is leased by the one
+	// in-process worker, C stays queued. Then the process "dies".
 	idB, err := s1.Submit(smallReq())
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +110,7 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		snap, _ := s1.Status(idB)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -123,6 +125,21 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Shutdown()
+
+	// B was held by an in-process worker that died with s1: it is back
+	// in the queue (or already re-leased) the moment the service opens,
+	// not a lease TTL later.
+	if snap, ok := s2.Status(idB); !ok || (snap.State != StateQueued && snap.State != StateLeased) {
+		t.Fatalf("job B right after reopen = %+v (ok=%v), want queued or leased", snap, ok)
+	}
+	// The in-process workers' ID namespace is closed to remote callers.
+	srv := httptest.NewServer(s2.Handler())
+	defer srv.Close()
+	var apiErr apiError
+	if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/lease",
+		map[string]any{"worker_id": localWorkerPrefix + "0"}, &apiErr); code != http.StatusBadRequest {
+		t.Fatalf("remote lease under the reserved prefix = %d, want 400", code)
+	}
 
 	// A's terminal summary is served straight from the journal.
 	snapA2, ok := s2.Status(idA)
@@ -231,7 +248,7 @@ func TestCanceledWhileQueuedSnapshot(t *testing.T) {
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		snap, _ := s1.Status(idBlock)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -319,13 +336,18 @@ func TestReplayJournal(t *testing.T) {
 		{Kind: evCanceled, Job: "job-000003", Time: t0.Add(5 * time.Second)},
 		{Kind: evStarted, Job: "job-000099", Time: t0}, // submission lost: dropped
 		{Kind: evSubmitted, Job: "job-000007", Time: t0.Add(6 * time.Second), Req: &req},
+		// Checkpoints collapse terminal jobs only; one whose state is
+		// missing or unknown (damaged on disk) restores nothing.
+		{Kind: evCheckpoint, Job: "job-000004", Time: t0, Req: &req, State: StateFailed, Error: "boom"},
+		{Kind: evCheckpoint, Job: "job-000005", Time: t0, Req: &req},
+		{Kind: evCheckpoint, Job: "job-000006", Time: t0, Req: &req, State: "bogus"},
 	}
 	jobs, maxID := replayJournal(events, nil)
 	if maxID != 7 {
 		t.Fatalf("maxID = %d, want 7", maxID)
 	}
-	if len(jobs) != 4 {
-		t.Fatalf("replayed %d jobs, want 4", len(jobs))
+	if len(jobs) != 5 {
+		t.Fatalf("replayed %d jobs, want 5", len(jobs))
 	}
 	byID := map[string]*job{}
 	for _, j := range jobs {
@@ -348,6 +370,29 @@ func TestReplayJournal(t *testing.T) {
 	}
 	if _, lost := byID["job-000099"]; lost {
 		t.Fatal("event without a submission produced a job")
+	}
+	if j := byID["job-000004"]; j == nil || j.state != StateFailed || j.err != "boom" {
+		t.Fatalf("terminal checkpoint replayed as %+v", j)
+	}
+	for _, id := range []string{"job-000005", "job-000006"} {
+		if j := byID[id]; j != nil {
+			t.Fatalf("checkpoint %s with state %q produced a job", id, j.state)
+		}
+	}
+
+	// Restored, the tallies show exactly what replayed — and a state the
+	// scheduler does not know is tallied nowhere rather than aliased onto
+	// some other state's slot.
+	s := remoteScheduler(time.Hour, nil)
+	defer s.shutdown()
+	s.restore(jobs, maxID)
+	s.countAdd("bogus", 1)
+	want := map[JobState]int{StateQueued: 2, StateDone: 1, StateFailed: 1, StateCanceled: 1}
+	if got := s.counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counts after restore = %v, want %v", got, want)
+	}
+	if got := s.queueDepth(); got != 2 {
+		t.Fatalf("queue depth after restore = %d, want the 2 interrupted jobs", got)
 	}
 }
 

@@ -17,13 +17,13 @@ type memJournal struct {
 	fail   bool
 }
 
-func (m *memJournal) record(ev journalEvent) error {
+func (m *memJournal) record(evs ...journalEvent) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.fail {
 		return errors.New("journal is closed")
 	}
-	m.events = append(m.events, ev)
+	m.events = append(m.events, evs...)
 	return nil
 }
 
@@ -45,14 +45,14 @@ func (m *memJournal) kinds(job string) []eventKind {
 	return out
 }
 
-// remoteScheduler builds a coordinator-style scheduler: no in-process
-// workers, jobs move only through the lease protocol.
+// remoteScheduler builds a bare scheduler: nothing executes, jobs move
+// only as the test drives the lease protocol.
 func remoteScheduler(ttl time.Duration, jl *memJournal) *scheduler {
-	cfg := schedConfig{remoteOnly: true, leaseTTL: ttl}
+	cfg := schedConfig{leaseTTL: ttl}
 	if jl != nil {
 		cfg.record = jl.record
 	}
-	return newScheduler(cfg, func(*job) {})
+	return newScheduler(cfg)
 }
 
 func stateOf(t *testing.T, s *scheduler, id string) JobState {
@@ -87,11 +87,11 @@ func TestLeaseLifecycle(t *testing.T) {
 	s := remoteScheduler(time.Minute, jl)
 	defer s.shutdown()
 
-	id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No in-process workers: the job must still be queued.
+	// Nobody has leased it: the job must still be queued.
 	if st := stateOf(t, s, id); st != StateQueued {
 		t.Fatalf("state before lease = %s", st)
 	}
@@ -152,13 +152,13 @@ func TestLeaseLifecycle(t *testing.T) {
 	// The wrong worker cannot complete; the holder can, and the summary
 	// is served.
 	sum := ResultSummary{ScientificYield: 0.75}
-	if err := s.completeRemote("w2", tok, id, StateDone, "", &sum, time.Now()); !errors.Is(err, ErrLeaseLost) {
+	if err := s.complete("w2", tok, id, StateDone, "", &sum, nil, time.Now()); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("foreign complete error = %v, want ErrLeaseLost", err)
 	}
-	if err := s.completeRemote("w1", "forged-token", id, StateDone, "", &sum, time.Now()); !errors.Is(err, ErrLeaseLost) {
+	if err := s.complete("w1", "forged-token", id, StateDone, "", &sum, nil, time.Now()); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("forged-token complete error = %v, want ErrLeaseLost", err)
 	}
-	if err := s.completeRemote("w1", tok, id, StateDone, "", &sum, time.Now()); err != nil {
+	if err := s.complete("w1", tok, id, StateDone, "", &sum, nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	j2, _ := s.get(id)
@@ -199,7 +199,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	defer s.shutdown()
 
 	req := SubmitRequest{Target: "PLPro", Seed: 42, LibOffset: 7}
-	id, err := s.submit(req, time.Now())
+	id, err := s.submit(req, time.Now(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if _, err := s.heartbeat("w-dead", deadTok, id, "", 0, time.Now()); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("dead worker heartbeat error = %v, want ErrLeaseLost", err)
 	}
-	if err := s.completeRemote("w-dead", deadTok, id, StateDone, "", &ResultSummary{}, time.Now()); !errors.Is(err, ErrLeaseLost) {
+	if err := s.complete("w-dead", deadTok, id, StateDone, "", &ResultSummary{}, nil, time.Now()); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("dead worker complete error = %v, want ErrLeaseLost", err)
 	}
 
@@ -232,7 +232,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if j2.req.Seed != 42 || j2.req.LibOffset != 7 {
 		t.Fatalf("requeued request mutated: %+v", j2.req)
 	}
-	if err := s.completeRemote("w2", tokenOf(t, s, id), id, StateDone, "", &ResultSummary{ScientificYield: 1}, time.Now()); err != nil {
+	if err := s.complete("w2", tokenOf(t, s, id), id, StateDone, "", &ResultSummary{ScientificYield: 1}, nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if st := stateOf(t, s, id); st != StateDone {
@@ -251,7 +251,7 @@ func TestExpiryRequeueOrder(t *testing.T) {
 	now := time.Now()
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := s.submit(SubmitRequest{Target: "PLPro"}, now)
+		id, err := s.submit(SubmitRequest{Target: "PLPro"}, now, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,12 +286,12 @@ func TestCancelLeasedJob(t *testing.T) {
 	jl := &memJournal{}
 	s := remoteScheduler(time.Minute, jl)
 	defer s.shutdown()
-	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if _, err := s.lease("w1", 0, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	tok := tokenOf(t, s, id)
-	if _, err := s.cancelJob(id); err != nil {
+	if _, err := s.cancelJob(id, ""); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	if st := stateOf(t, s, id); st != StateCanceled {
@@ -315,17 +315,17 @@ func TestCancelCompleteJournalBeforeApply(t *testing.T) {
 	jl := &memJournal{}
 	s := remoteScheduler(time.Hour, jl)
 	defer s.shutdown()
-	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+	id, _ := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 	if _, err := s.lease("w1", 0, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	tok := tokenOf(t, s, id)
 
 	jl.setFail(true)
-	if _, err := s.cancelJob(id); !errors.Is(err, ErrShuttingDown) {
+	if _, err := s.cancelJob(id, ""); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("cancel with dead journal = %v, want ErrShuttingDown", err)
 	}
-	if err := s.completeRemote("w1", tok, id, StateDone, "", &ResultSummary{}, time.Now()); !errors.Is(err, ErrShuttingDown) {
+	if err := s.complete("w1", tok, id, StateDone, "", &ResultSummary{}, nil, time.Now()); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("complete with dead journal = %v, want ErrShuttingDown", err)
 	}
 	// The job is exactly as it was: still leased to w1 under the same
@@ -342,7 +342,7 @@ func TestCancelCompleteJournalBeforeApply(t *testing.T) {
 
 	// Journal back: the same complete lands.
 	jl.setFail(false)
-	if err := s.completeRemote("w1", tok, id, StateDone, "", &ResultSummary{ScientificYield: 1}, time.Now()); err != nil {
+	if err := s.complete("w1", tok, id, StateDone, "", &ResultSummary{ScientificYield: 1}, nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := jl.kinds(id), []eventKind{evSubmitted, evLeased, evDone}; !equalKinds(got, want) {
@@ -351,10 +351,10 @@ func TestCancelCompleteJournalBeforeApply(t *testing.T) {
 
 	// After shutdown both are refused up front, same sentinel.
 	s.shutdown()
-	if _, err := s.cancelJob(id); !errors.Is(err, ErrShuttingDown) {
+	if _, err := s.cancelJob(id, ""); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("cancel after shutdown = %v, want ErrShuttingDown", err)
 	}
-	if err := s.completeRemote("w1", tok, id, StateDone, "", &ResultSummary{}, time.Now()); !errors.Is(err, ErrShuttingDown) {
+	if err := s.complete("w1", tok, id, StateDone, "", &ResultSummary{}, nil, time.Now()); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("complete after shutdown = %v, want ErrShuttingDown", err)
 	}
 }
@@ -369,7 +369,7 @@ func TestSchedulerCounts(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now())
+		id, err := s.submit(SubmitRequest{Target: "PLPro"}, time.Now(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,12 +394,12 @@ func TestSchedulerCounts(t *testing.T) {
 	}
 	check("after lease", map[JobState]int{StateQueued: 2, StateLeased: 1})
 
-	if err := s.completeRemote("w1", tokenOf(t, s, ids[0]), ids[0], StateDone, "", &ResultSummary{}, time.Now()); err != nil {
+	if err := s.complete("w1", tokenOf(t, s, ids[0]), ids[0], StateDone, "", &ResultSummary{}, nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	check("after complete", map[JobState]int{StateQueued: 2, StateDone: 1})
 
-	s.cancelJob(ids[1])
+	s.cancelJob(ids[1], "")
 	// maxRecords=1: the canceled job displaces the done one from the
 	// table, and the tallies must follow the table.
 	check("after cancel+prune", map[JobState]int{StateQueued: 1, StateCanceled: 1})
@@ -408,8 +408,8 @@ func TestSchedulerCounts(t *testing.T) {
 // TestRetryAfterDerivation pins the 429 hint formula: queue depth ×
 // recent mean duration over available slots, clamped to [1s, 60s].
 func TestRetryAfterDerivation(t *testing.T) {
-	// remoteOnly: no worker goroutines pop the placeholder entries the
-	// test stuffs into pending.
+	// Nothing leases from a bare scheduler, so the placeholder entries
+	// the test stuffs into pending stay put.
 	s := remoteScheduler(time.Hour, nil)
 	s.workerSlots = 2
 	// stuffPending swaps placeholder jobs into the default tenant's
@@ -467,9 +467,17 @@ func TestReplayJournalLeases(t *testing.T) {
 		{Kind: evSubmitted, Job: "job-000003", Time: t0, Req: &req},
 		{Kind: evLeased, Job: "job-000003", Time: t0.Add(time.Second), Worker: "w2"},
 		{Kind: evDone, Job: "job-000003", Time: t0.Add(time.Minute), Worker: "w2", Summary: &sum},
+		// Held by an in-process worker at crash time: the holder died
+		// with the process, so the job is queued again at once.
+		{Kind: evSubmitted, Job: "job-000004", Time: t0, Req: &req},
+		{Kind: evLeased, Job: "job-000004", Time: t0.Add(time.Second), Worker: localWorkerPrefix + "0", Token: "tok"},
+		// Completed by an in-process worker: terminal, holder recorded.
+		{Kind: evSubmitted, Job: "job-000005", Time: t0, Req: &req},
+		{Kind: evLeased, Job: "job-000005", Time: t0.Add(time.Second), Worker: localWorkerPrefix + "1", Token: "tok"},
+		{Kind: evDone, Job: "job-000005", Time: t0.Add(time.Minute), Worker: localWorkerPrefix + "1", Summary: &sum},
 	}
 	jobs, maxID := replayJournal(events, nil)
-	if maxID != 3 || len(jobs) != 3 {
+	if maxID != 5 || len(jobs) != 5 {
 		t.Fatalf("replayed %d jobs, maxID %d", len(jobs), maxID)
 	}
 	byID := map[string]*job{}
@@ -485,6 +493,14 @@ func TestReplayJournalLeases(t *testing.T) {
 	if j := byID["job-000003"]; j.state != StateDone || j.leaseWorker != "w2" ||
 		j.result == nil || j.result.summary.ScientificYield != 0.5 {
 		t.Fatalf("remotely completed job = %+v", j)
+	}
+	if j := byID["job-000004"]; j.state != StateQueued || j.leaseWorker != "" || j.leaseToken != "" || !j.started.IsZero() {
+		t.Fatalf("locally held job = state=%s worker=%q token=%q started=%v, want plain queued",
+			j.state, j.leaseWorker, j.leaseToken, j.started)
+	}
+	if j := byID["job-000005"]; j.state != StateDone || j.leaseWorker != localWorkerPrefix+"1" ||
+		!j.started.Equal(t0.Add(time.Second)) {
+		t.Fatalf("locally completed job = state=%s worker=%q started=%v", j.state, j.leaseWorker, j.started)
 	}
 }
 

@@ -103,7 +103,7 @@ func newMetrics() *metrics {
 		"Backpressure estimate served with 429 responses: backlog times recent mean job duration over execution slots.")
 
 	m.leaseGrants = reg.Counter("impeccable_lease_grants_total",
-		"Jobs handed to remote workers under a TTL lease.")
+		"Jobs handed to workers (in-process or remote) under a TTL lease.")
 	m.leaseHeartbeats = reg.Counter("impeccable_lease_heartbeats_total",
 		"Accepted lease heartbeats.")
 	m.leaseExpiries = reg.Counter("impeccable_lease_expiries_total",
@@ -111,7 +111,7 @@ func newMetrics() *metrics {
 	m.leaseRequeues = reg.Counter("impeccable_lease_requeues_total",
 		"Leased jobs re-entered into the queue (expiry or unacknowledged grant).")
 	m.leasesActive = reg.Gauge("impeccable_leases_active",
-		"Jobs currently out on a remote lease.")
+		"Jobs currently out on a lease.")
 
 	m.journalAppends = reg.Counter("impeccable_journal_appends_total",
 		"Events appended to the write-ahead journal.")
@@ -242,9 +242,9 @@ func (s *Service) registerCollectors() {
 		"Seconds since the service started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	m.reg.OnCollect(func() {
-		counts := s.sched.stateCounts()
-		for i, st := range countedStates {
-			m.jobsByState.With(string(st)).Set(float64(counts[i]))
+		counts := s.sched.counts()
+		for _, st := range countedStates {
+			m.jobsByState.With(string(st)).Set(float64(counts[st]))
 		}
 		m.queueDepth.Set(float64(s.sched.queueDepth()))
 		for tenant, depth := range s.sched.tenantQueueDepths() {

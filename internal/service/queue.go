@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"impeccable/internal/blob"
+	"impeccable/internal/campaign"
 )
 
 // JobState is the lifecycle state of a submitted campaign.
@@ -23,7 +24,9 @@ const (
 	// StateLeased marks a job handed to a remote worker under a TTL
 	// lease; a worker that stops heartbeating loses the lease and the
 	// job re-enters the queue under its original ID.
-	StateLeased   JobState = "leased"
+	StateLeased JobState = "leased"
+	// StateRunning is accepted as input (?state=running, old journals)
+	// but never produced: every execution holds a lease.
 	StateRunning  JobState = "running"
 	StateDone     JobState = "done"
 	StateFailed   JobState = "failed"
@@ -38,14 +41,15 @@ var countedStates = [...]JobState{
 
 const numStates = len(countedStates)
 
-// stateIdx maps a state to its counter slot.
+// stateIdx maps a state to its counter slot; -1 for a state the
+// scheduler does not know (which is therefore never tallied).
 func stateIdx(st JobState) int {
 	for i, s := range countedStates {
 		if s == st {
 			return i
 		}
 	}
-	return numStates - 1
+	return -1
 }
 
 // Terminal reports whether the state is final.
@@ -74,16 +78,6 @@ type job struct {
 	// store when replay restored the job from a ref instead of an
 	// inline summary; Service.Result resolves and caches it lazily.
 	summaryRef *blob.Ref
-	cancel     chan struct{}
-	cancelOnce sync.Once
-	// drainCanceled marks a job interrupted by a graceful drain rather
-	// than by user intent: its terminal state is not journaled, so a
-	// reopened service re-enqueues it instead of serving "canceled".
-	drainCanceled bool
-	// userCanceled marks an explicit cancel request. A drain that
-	// overlaps one must not suppress its terminal journal event — the
-	// user's cancel survives restarts.
-	userCanceled bool
 	// queuedAt is when the job last entered its tenant's pending queue
 	// (submit, lease-expiry requeue, or preemption). Guarded by
 	// scheduler.mu, not j.mu: every writer and the preemption arbiter
@@ -91,7 +85,7 @@ type job struct {
 	// already hold the scheduler lock.
 	queuedAt time.Time
 
-	// Lease bookkeeping: which remote worker holds the job, until when,
+	// Lease bookkeeping: which worker holds the job, until when,
 	// and the TTL each heartbeat extends the lease by. leaseWorker is
 	// kept after completion so listings show which worker ran the job.
 	// leaseToken is the per-lease secret the holder must present on
@@ -107,11 +101,6 @@ type job struct {
 	// responses so an operator can spot a worker going quiet before the
 	// TTL expires it.
 	lastBeat time.Time
-}
-
-// requestCancel closes the job's cancel channel exactly once.
-func (j *job) requestCancel() {
-	j.cancelOnce.Do(func() { close(j.cancel) })
 }
 
 // snapshotLocked builds a JobSnapshot; callers hold j.mu.
@@ -168,8 +157,8 @@ type JobSnapshot struct {
 	Submitted time.Time  `json:"submitted_at"`
 	Started   *time.Time `json:"started_at,omitempty"`
 	Finished  *time.Time `json:"finished_at,omitempty"`
-	// Worker is the remote worker that holds (or last held) the job's
-	// lease; empty for jobs executed in-process.
+	// Worker is the holder (or last holder) of the job's lease: a remote
+	// worker's ID, or "local/<n>" for an in-process holder.
 	Worker string `json:"worker,omitempty"`
 	// Lease liveness, present only while the job is leased: when the
 	// lease lapses unless renewed, and how many seconds ago the holder
@@ -199,10 +188,11 @@ var ErrQueueFull = errors.New("service: submission queue is full")
 // surfaces it as 503, matching the draining health probe).
 var ErrShuttingDown = errors.New("service: shutting down")
 
-// ErrLeaseLost is returned to a remote worker whose lease on a job is
-// no longer valid: it expired and the job was re-enqueued (possibly
-// re-leased to another worker), or the job was canceled. The worker
-// must abandon the run; the coordinator owns the job again.
+// ErrLeaseLost is returned to a lease holder whose lease on a job is
+// no longer valid: it expired or was preempted and the job was
+// re-enqueued (possibly re-leased to another worker), or the job was
+// canceled. The holder must abandon the run; the coordinator owns the
+// job again.
 var ErrLeaseLost = errors.New("service: lease lost")
 
 // Lease TTL bounds. A worker-requested TTL is clamped to
@@ -220,11 +210,12 @@ const durSamples = 32
 
 // schedConfig bundles the scheduler's construction parameters.
 type schedConfig struct {
-	workers     int
-	remoteOnly  bool          // no in-process workers: jobs run only via leases
-	leaseTTL    time.Duration // default remote lease TTL; 0 = defaultLeaseTTL
-	maxQueued   int           // per-tenant pending bound for tenants without their own; 0 = unbounded
-	maxRecords  int           // retained terminal jobs; 0 = unbounded
+	// localSlots counts the service's in-process lease holders, for
+	// slot accounting only: the scheduler itself executes nothing.
+	localSlots int
+	leaseTTL   time.Duration // default lease TTL; 0 = defaultLeaseTTL
+	maxQueued  int           // per-tenant pending bound for tenants without their own; 0 = unbounded
+	maxRecords int           // retained terminal jobs; 0 = unbounded
 	// limits resolves a tenant's configured limits; nil means every
 	// tenant gets the defaults (weight 1, maxQueued above).
 	limits func(tenant string) TenantLimits
@@ -232,28 +223,23 @@ type schedConfig struct {
 	// carries Priority > 0 and has waited this long may revoke an
 	// over-share tenant's youngest lease. 0 disables preemption.
 	preemptAfter time.Duration
-	record       func(journalEvent) error   // journal appender; nil = in-memory only
-	recordBatch  func([]journalEvent) error // many events, one fsync; nil = record per event
-	onTerminal   func()                     // runs after each job's terminal event
-	met          *metrics                   // instrument sink; nil = private registry
-	bus          *eventBus                  // lifecycle event fan-out; nil = private bus
+	record       func(...journalEvent) error // journal appender (one fsync per call); nil = in-memory only
+	met          *metrics                    // instrument sink; nil = private registry
+	bus          *eventBus                   // lifecycle event fan-out; nil = private bus
 }
 
-// scheduler runs queued jobs over a bounded worker pool and hands jobs
-// to remote workers under TTL leases. Pending work lives in per-tenant
-// queues arbitrated by deficit round-robin, so one tenant's flood
-// cannot starve another's trickle.
+// scheduler queues jobs and hands them to lease holders — remote
+// workers over HTTP, in-process holders by function call — under TTL
+// leases. Pending work lives in per-tenant queues arbitrated by deficit
+// round-robin, so one tenant's flood cannot starve another's trickle.
 type scheduler struct {
-	run          func(*job) // executes one job's campaign
-	workerSlots  int        // in-process worker goroutines
+	workerSlots  int // in-process lease holders (each an execution slot, idle or leasing)
 	leaseTTL     time.Duration
 	maxQueued    int // per-tenant default pending bound
 	maxRecords   int
 	limits       func(tenant string) TenantLimits
 	preemptAfter time.Duration
-	record       func(journalEvent) error
-	recordBatch  func([]journalEvent) error
-	onTerminal   func()
+	record       func(...journalEvent) error
 	met          *metrics
 	bus          *eventBus
 
@@ -268,43 +254,39 @@ type scheduler struct {
 	ring     []string
 	ringCur  int
 	pendingN int             // total pending jobs across all tenants
-	leases   map[string]*job // jobs currently out on a remote lease
+	leases   map[string]*job // jobs currently out on a lease
 	nextID   int
-	closed   bool
-	draining bool // drain in progress: pop hands out nothing
+	closed   bool // drain begun: no submits, grants, completions or cancels
 
 	// stateN maintains per-state job tallies incrementally so health
 	// probes are O(states), not O(jobs × mutex). Updated at every
 	// transition by the goroutine holding the job's mutex.
 	stateN [numStates]atomic.Int64
 
-	// durRing holds the durations of recently finished runs (local and
-	// remote), feeding retryAfterSeconds.
+	// durRing holds the durations of recently finished runs, feeding
+	// retryAfterSeconds.
 	durRing [durSamples]time.Duration
 	durIdx  int
 	durN    int
 
-	wake chan struct{} // pokes idle workers; buffered
+	wake chan struct{} // pokes idle in-process holders; buffered
 	quit chan struct{}
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // the lease watchdog plus the service's in-process holders
 }
 
-// newScheduler starts workers goroutines draining the queue plus the
-// lease-expiry watchdog.
-func newScheduler(cfg schedConfig, run func(*job)) *scheduler {
-	workers := cfg.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if cfg.remoteOnly {
-		workers = 0
-	}
+// newScheduler starts the lease-expiry watchdog.
+func newScheduler(cfg schedConfig) *scheduler {
 	ttl := cfg.leaseTTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
-	// Tests construct schedulers without a Service; give them private
-	// instruments so the counting paths stay unconditional.
+	// Tests construct schedulers without a Service or a journal; give
+	// them private instruments and a no-op appender so the counting and
+	// journaling paths stay unconditional.
+	record := cfg.record
+	if record == nil {
+		record = func(...journalEvent) error { return nil }
+	}
 	met := cfg.met
 	if met == nil {
 		met = newMetrics()
@@ -314,37 +296,45 @@ func newScheduler(cfg schedConfig, run func(*job)) *scheduler {
 		bus = newEventBus(met)
 	}
 	s := &scheduler{
-		run:          run,
-		workerSlots:  workers,
+		workerSlots:  cfg.localSlots,
 		leaseTTL:     ttl,
 		maxQueued:    cfg.maxQueued,
 		maxRecords:   cfg.maxRecords,
 		limits:       cfg.limits,
 		preemptAfter: cfg.preemptAfter,
-		record:       cfg.record,
-		recordBatch:  cfg.recordBatch,
-		onTerminal:   cfg.onTerminal,
+		record:       record,
 		met:          met,
 		bus:          bus,
 		jobs:         make(map[string]*job),
 		tenants:      make(map[string]*tenantQueue),
 		leases:       make(map[string]*job),
-		wake:         make(chan struct{}, workers+1),
+		wake:         make(chan struct{}, cfg.localSlots+1),
 		quit:         make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	s.wg.Add(1)
 	go s.leaseLoop()
 	return s
 }
 
+// countAdd adjusts one state's tally.
+func (s *scheduler) countAdd(st JobState, d int64) {
+	if i := stateIdx(st); i >= 0 {
+		s.stateN[i].Add(d)
+	}
+}
+
 // countMove shifts one job between per-state tallies.
 func (s *scheduler) countMove(from, to JobState) {
-	s.stateN[stateIdx(from)].Add(-1)
-	s.stateN[stateIdx(to)].Add(1)
+	s.countAdd(from, -1)
+	s.countAdd(to, 1)
+}
+
+// poke wakes one idle in-process holder, if any is waiting.
+func (s *scheduler) poke() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // publishLocked emits one event for the job's current state onto the
@@ -372,15 +362,6 @@ func (s *scheduler) publishLocked(j *job, typ string, now time.Time) {
 // markTerminal counts one terminal transition on the exposition.
 func (s *scheduler) markTerminal(st JobState) {
 	s.met.jobsTerminal.With(string(st)).Inc()
-}
-
-// stateCounts snapshots the per-state tallies for the /metrics mirror.
-func (s *scheduler) stateCounts() [numStates]int64 {
-	var out [numStates]int64
-	for i := range out {
-		out[i] = s.stateN[i].Load()
-	}
-	return out
 }
 
 // tq returns (creating on first use) a tenant's queue state; callers
@@ -431,7 +412,7 @@ func (s *scheduler) tenantQueueDepths() map[string]int {
 	return out
 }
 
-// activeLeases reports the jobs currently out on a remote lease.
+// activeLeases reports the jobs currently out on a lease.
 func (s *scheduler) activeLeases() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,15 +421,11 @@ func (s *scheduler) activeLeases() int {
 
 // submit enqueues a request and returns the new job's ID. The
 // submitted event is journaled (and fsynced) before the ID is handed
-// back, so an acknowledged submission survives a crash.
-func (s *scheduler) submit(req SubmitRequest, now time.Time) (string, error) {
-	return s.submitTraced(req, now, "")
-}
-
-// submitTraced is submit carrying the originating request ID into the
-// journal, so an operator can walk from an access-log line to the
-// durable record of what it caused.
-func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (string, error) {
+// back, so an acknowledged submission survives a crash. rid is the
+// originating request ID ("" for in-process embedders), journaled so an
+// operator can walk from an access-log line to the durable record of
+// what it caused.
+func (s *scheduler) submit(req SubmitRequest, now time.Time, rid string) (string, error) {
 	tenant := normalizeTenant(req.Tenant)
 	s.mu.Lock()
 	if s.closed {
@@ -460,7 +437,7 @@ func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (
 		s.met.tenantRejections.With(tenant, rejectQueueFull).Inc()
 		s.mu.Unlock()
 		return "", fmt.Errorf("%w (tenant %q has %d jobs pending, max %d)",
-			ErrQueueFull, tenant, tq.maxQueued, tq.maxQueued)
+			ErrQueueFull, tenant, len(tq.pending), tq.maxQueued)
 	}
 	s.nextID++
 	j := &job{
@@ -470,28 +447,22 @@ func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (
 		state:     StateQueued,
 		submitted: now,
 		queuedAt:  now,
-		cancel:    make(chan struct{}),
 	}
-	if s.record != nil {
-		if err := s.record(journalEvent{Kind: evSubmitted, Job: j.id, Time: now, Req: &j.req, RID: rid, Tenant: tenant, Priority: req.Priority}); err != nil {
-			s.nextID--
-			s.mu.Unlock()
-			return "", err
-		}
+	if err := s.record(journalEvent{Kind: evSubmitted, Job: j.id, Time: now, Req: &j.req, RID: rid, Tenant: tenant, Priority: req.Priority}); err != nil {
+		s.nextID--
+		s.mu.Unlock()
+		return "", err
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	tq.push(j)
 	s.pendingN++
-	s.stateN[stateIdx(StateQueued)].Add(1)
+	s.countAdd(StateQueued, 1)
 	s.met.jobsSubmitted.Inc()
 	s.met.tenantAdmissions.With(tenant).Inc()
 	s.publishLocked(j, evTypeState, now)
 	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.poke()
 	return j.id, nil
 }
 
@@ -503,7 +474,6 @@ func (s *scheduler) submitTraced(req SubmitRequest, now time.Time, rid string) (
 // one's lease expires into a requeue. nextID advances past the highest
 // replayed job number so new submissions never collide.
 func (s *scheduler) restore(jobs []*job, maxID int) {
-	requeued := 0
 	now := time.Now()
 	s.mu.Lock()
 	for _, j := range jobs {
@@ -517,7 +487,7 @@ func (s *scheduler) restore(jobs []*job, maxID int) {
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
-		s.stateN[stateIdx(j.state)].Add(1)
+		s.countAdd(j.state, 1)
 		switch {
 		case j.state == StateLeased:
 			j.leaseTTL = s.leaseTTL
@@ -529,7 +499,6 @@ func (s *scheduler) restore(jobs []*job, maxID int) {
 			j.queuedAt = now
 			s.tq(j.tenant).push(j)
 			s.pendingN++
-			requeued++
 		}
 		// Seed the restored job's event stream with its current state so
 		// an SSE subscriber on a replayed job gets an immediate answer
@@ -540,46 +509,17 @@ func (s *scheduler) restore(jobs []*job, maxID int) {
 		s.nextID = maxID
 	}
 	s.mu.Unlock()
-	for i := 0; i < requeued; i++ {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
-// worker drains the pending queue until the scheduler shuts down.
-func (s *scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		j := s.pop()
-		if j == nil {
-			select {
-			case <-s.wake:
-				continue
-			case <-s.quit:
-				return
-			}
-		}
-		if s.record != nil {
-			j.mu.Lock()
-			started := j.started
-			j.mu.Unlock()
-			_ = s.record(journalEvent{Kind: evStarted, Job: j.id, Time: started})
-		}
-		s.execute(j)
-	}
-}
-
-// dequeueLocked is the deficit-round-robin arbiter both execution
-// paths (in-process pop, remote lease) pull through; callers hold
-// s.mu. Each tenant is visited in ring order; an eligible tenant with
-// no credit is granted its weight in job-slots and serves its queue
-// head, one job per call, until the credit runs out — so over
-// contended slots tenants are served proportionally to their weights,
-// and a tenant at its running-concurrency cap (or with an empty queue)
-// is skipped with its credit reset, never banking bandwidth it could
-// not use. Returns nil when no tenant can hand out work.
+// dequeueLocked is the deficit-round-robin arbiter every grant pulls
+// through; callers hold s.mu. Each tenant is visited in ring order; an
+// eligible tenant with no credit is granted its weight in job-slots and
+// serves its queue head, one job per call, until the credit runs out —
+// so over contended slots tenants are served proportionally to their
+// weights, and a tenant at its running-concurrency cap (or with an
+// empty queue) is skipped with its credit reset, never banking
+// bandwidth it could not use. Returns nil when no tenant can hand out
+// work.
 func (s *scheduler) dequeueLocked() *job {
 	n := len(s.ring)
 	for scanned := 0; scanned < n; scanned++ {
@@ -607,99 +547,12 @@ func (s *scheduler) dequeueLocked() *job {
 	return nil
 }
 
-// pop dequeues the next runnable job via the DRR arbiter, skipping
-// jobs canceled while queued (a rare race — cancels eagerly leave the
-// queue, but may overlap a concurrent dequeue). Returns nil when no
-// tenant has runnable work or a drain is under way (a draining
-// scheduler stops popping so queued work stays journaled as pending
-// and resumes after restart).
-func (s *scheduler) pop() *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.draining {
-		j := s.dequeueLocked()
-		if j == nil {
-			return nil
-		}
-		j.mu.Lock()
-		runnable := j.state == StateQueued
-		if runnable {
-			s.countMove(StateQueued, StateRunning)
-			j.state = StateRunning
-			j.started = time.Now()
-			s.publishLocked(j, evTypeState, j.started)
-		}
-		j.mu.Unlock()
-		if runnable {
-			s.tenants[j.tenant].inflight++
-			return j
-		}
-	}
-	return nil
-}
-
-// execute runs one job, records its terminal state and journals it —
-// unless a drain interrupted the job, in which case the journal keeps
-// showing it in flight so a reopened service reruns it.
-func (s *scheduler) execute(j *job) {
-	s.run(j)
-	j.mu.Lock()
-	if !j.state.Terminal() {
-		j.state = StateDone //impeccable:unjournaled execute journals after the run so drain interruptions rerun instead of acking
-	}
-	// The run function sets the terminal state directly; diff the
-	// counters here so they track whatever it chose.
-	s.countMove(StateRunning, j.state)
-	j.finished = time.Now()
-	var dur time.Duration
-	if !j.started.IsZero() && j.state != StateCanceled {
-		dur = j.finished.Sub(j.started)
-	}
-	ev := journalEvent{Job: j.id, Time: j.finished}
-	switch j.state {
-	case StateDone:
-		ev.Kind = evDone
-		if j.result != nil {
-			sum := j.result.summary
-			ev.Summary = &sum
-		}
-	case StateFailed:
-		ev.Kind = evFailed
-		ev.Error = j.err
-	case StateCanceled:
-		ev.Kind = evCanceled
-	}
-	// Suppress journaling only when the drain actually interrupted the
-	// job: one that raced to normal completion still records its
-	// result, and one the user explicitly canceled records the cancel
-	// (user intent survives restarts; drain interruptions resume).
-	suppress := j.drainCanceled && !j.userCanceled && j.state == StateCanceled
-	s.markTerminal(j.state)
-	s.publishLocked(j, evTypeState, j.finished)
-	j.mu.Unlock()
-	s.mu.Lock()
-	if tq := s.tenants[j.tenant]; tq != nil {
-		tq.inflight--
-	}
-	s.mu.Unlock()
-	if dur > 0 {
-		s.recordDuration(dur)
-	}
-	if !suppress && s.record != nil {
-		_ = s.record(ev)
-	}
-	if !suppress && s.onTerminal != nil {
-		s.onTerminal()
-	}
-	s.pruneTerminal()
-}
-
-// lease hands the next runnable job to a remote worker under a TTL
-// lease, journaling the handoff before the grant is acknowledged. A
-// nil job means no work is available (empty queue, drain, or
-// shutdown). A worker-requested ttl of 0 takes the scheduler default;
-// explicit values are clamped to [minLeaseTTL, maxLeaseTTL], with the
-// lower clamp relaxed to the configured default when that is smaller.
+// lease hands the next runnable job to a worker under a TTL lease,
+// journaling the handoff before it is applied or acknowledged. A nil
+// job means no work is available (empty queue, drain, or shutdown). A
+// worker-requested ttl of 0 takes the scheduler default; explicit
+// values are clamped to [minLeaseTTL, maxLeaseTTL], with the lower
+// clamp relaxed to the configured default when that is smaller.
 func (s *scheduler) lease(workerID string, ttl time.Duration, now time.Time) (*job, error) {
 	if workerID == "" {
 		return nil, fmt.Errorf("service: lease requires a worker id")
@@ -726,58 +579,44 @@ func (s *scheduler) lease(workerID string, ttl time.Duration, now time.Time) (*j
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.draining {
+	if s.closed {
 		return nil, nil
 	}
-	var leased *job
-	for leased == nil {
+	for {
 		j := s.dequeueLocked()
 		if j == nil {
 			return nil, nil
 		}
 		j.mu.Lock()
-		if j.state == StateQueued {
-			s.countMove(StateQueued, StateLeased)
-			j.state = StateLeased
-			j.leaseWorker = workerID
-			j.leaseToken = token
-			j.leaseTTL = ttl
-			j.leaseExpiry = now.Add(ttl)
-			j.lastBeat = now
-			j.started = now
-			leased = j
+		if j.state != StateQueued {
+			// Canceled while queued: cancels eagerly leave the queue, but
+			// may overlap a concurrent dequeue. Skip the tombstone.
+			j.mu.Unlock()
+			continue
 		}
-		j.mu.Unlock()
-	}
-	s.leases[leased.id] = leased
-	s.tenants[leased.tenant].inflight++
-	if s.record != nil {
-		if err := s.record(journalEvent{Kind: evLeased, Job: leased.id, Time: now, Worker: workerID, Token: token}); err != nil {
-			// The grant was never acknowledged: put the job back where
-			// it was.
-			leased.mu.Lock()
-			s.countMove(StateLeased, StateQueued)
-			leased.state = StateQueued
-			leased.leaseWorker = ""
-			leased.leaseToken = ""
-			leased.started = time.Time{}
-			leased.lastBeat = time.Time{}
-			leased.queuedAt = now
-			leased.mu.Unlock()
-			delete(s.leases, leased.id)
-			tq := s.tenants[leased.tenant]
-			tq.inflight--
-			tq.pushFront(leased)
+		if err := s.record(journalEvent{Kind: evLeased, Job: j.id, Time: now, Worker: workerID, Token: token}); err != nil {
+			// Never granted: the job goes back to its queue head exactly
+			// as it was.
+			j.mu.Unlock()
+			s.tenants[j.tenant].pushFront(j)
 			s.pendingN++
-			s.met.leaseRequeues.Inc()
 			return nil, err
 		}
+		s.countMove(StateQueued, StateLeased)
+		j.state = StateLeased
+		j.leaseWorker = workerID
+		j.leaseToken = token
+		j.leaseTTL = ttl
+		j.leaseExpiry = now.Add(ttl)
+		j.lastBeat = now
+		j.started = now
+		s.publishLocked(j, evTypeState, now)
+		j.mu.Unlock()
+		s.leases[j.id] = j
+		s.tenants[j.tenant].inflight++
+		s.met.leaseGrants.Inc()
+		return j, nil
 	}
-	s.met.leaseGrants.Inc()
-	leased.mu.Lock()
-	s.publishLocked(leased, evTypeState, now)
-	leased.mu.Unlock()
-	return leased, nil
 }
 
 // newLeaseToken mints the per-lease secret a worker must present on
@@ -792,8 +631,8 @@ func newLeaseToken() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// heartbeat extends a worker's lease and records the remotely observed
-// stage/progress. ErrLeaseLost tells the worker to abandon the run.
+// heartbeat extends a worker's lease and records the stage/progress
+// its run observed. ErrLeaseLost tells the worker to abandon the run.
 func (s *scheduler) heartbeat(workerID, token, jobID, stage string, progress float64, now time.Time) (time.Time, error) {
 	j, ok := s.get(jobID)
 	if !ok {
@@ -817,27 +656,19 @@ func (s *scheduler) heartbeat(workerID, token, jobID, stage string, progress flo
 	return j.leaseExpiry, nil
 }
 
-// completeRemote finalizes a leased job with the outcome a remote
-// worker posted back, journaling the terminal event. A worker whose
-// lease was lost in the meantime gets ErrLeaseLost and must discard
-// the result — the job is owned by the queue (or another worker)
-// again.
-func (s *scheduler) completeRemote(workerID, token, jobID string, state JobState, errMsg string, sum *ResultSummary, now time.Time) error {
+// complete finalizes a leased job with the outcome its holder posted
+// back, journaling the terminal event. full is the in-memory campaign
+// result an in-process holder hands over (nil from remote workers). A
+// holder whose lease was lost in the meantime gets ErrLeaseLost and
+// must discard the result — the job is owned by the queue (or another
+// worker) again.
+func (s *scheduler) complete(workerID, token, jobID string, state JobState, errMsg string, sum *ResultSummary, full *campaign.Result, now time.Time) error {
 	if !state.Terminal() {
 		return fmt.Errorf("service: complete with non-terminal state %q", state)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		// The sentinel maps to 503 at the HTTP layer, telling the worker
-		// "this coordinator is going away, the restarted one owns the
-		// job" — not 400, which would read as a malformed request.
-		return ErrShuttingDown
-	}
-	s.mu.Unlock()
-	j, ok := s.get(jobID)
-	if !ok {
-		return ErrUnknownJob
+	j, err := s.liveJob(jobID)
+	if err != nil {
+		return err
 	}
 	j.mu.Lock()
 	if j.state != StateLeased || j.leaseWorker != workerID || j.leaseToken != token {
@@ -848,10 +679,8 @@ func (s *scheduler) completeRemote(workerID, token, jobID string, state JobState
 	ev := journalEvent{Job: jobID, Time: now, Worker: workerID}
 	switch state {
 	case StateDone:
-		if sum != nil {
-			ev.Summary = sum
-		}
 		ev.Kind = evDone
+		ev.Summary = sum
 	case StateFailed:
 		ev.Kind = evFailed
 		ev.Error = errMsg
@@ -864,11 +693,9 @@ func (s *scheduler) completeRemote(workerID, token, jobID string, state JobState
 	// the worker retries against the restarted coordinator, which still
 	// shows the job leased. Acking first and journaling best-effort
 	// would let the result evaporate across the restart.
-	if s.record != nil {
-		if err := s.record(ev); err != nil {
-			j.mu.Unlock()
-			return ErrShuttingDown
-		}
+	if err := s.record(ev); err != nil {
+		j.mu.Unlock()
+		return ErrShuttingDown
 	}
 	s.countMove(StateLeased, state)
 	j.state = state
@@ -877,7 +704,7 @@ func (s *scheduler) completeRemote(workerID, token, jobID string, state JobState
 	case StateDone:
 		j.progress = 1
 		if sum != nil {
-			j.result = &jobResult{summary: *sum}
+			j.result = &jobResult{full: full, summary: *sum}
 		}
 	case StateFailed:
 		j.err = errMsg
@@ -890,19 +717,45 @@ func (s *scheduler) completeRemote(workerID, token, jobID string, state JobState
 	s.publishLocked(j, evTypeState, now)
 	j.mu.Unlock()
 	s.mu.Lock()
-	delete(s.leases, jobID)
-	if tq := s.tenants[j.tenant]; tq != nil {
-		tq.inflight--
-	}
+	s.unleaseLocked(j)
 	s.mu.Unlock()
 	if dur > 0 {
 		s.recordDuration(dur)
 	}
-	// No onTerminal here: Service.Complete checkpoints AFTER merging
-	// the worker's cache deltas — a checkpoint now would both exclude
-	// this job's own docking labels and double the full-cache fsync.
 	s.pruneTerminal()
 	return nil
+}
+
+// unleaseLocked drops a job from the lease table and its tenant's
+// in-flight tally; callers hold s.mu.
+func (s *scheduler) unleaseLocked(j *job) {
+	delete(s.leases, j.id)
+	if tq := s.tenants[j.tenant]; tq != nil {
+		tq.inflight--
+	}
+}
+
+// requeueLocked revokes a lease and returns the job to the front of
+// its owner's queue (it predates everything pending there) under its
+// original ID — Seed and LibOffset ride along in the retained request,
+// so the rerun is byte-identical. The holder finds out through
+// ErrLeaseLost. Callers hold s.mu and j.mu, have checked the job is
+// leased, and journal the requeue so a restart cannot revive the lease.
+func (s *scheduler) requeueLocked(j *job, now time.Time) {
+	s.countMove(StateLeased, StateQueued)
+	j.state = StateQueued
+	j.leaseWorker = ""
+	j.leaseToken = ""
+	j.started = time.Time{}
+	j.lastBeat = time.Time{}
+	j.stage = ""
+	j.progress = 0
+	s.publishLocked(j, evTypeState, now)
+	j.queuedAt = now
+	s.unleaseLocked(j)
+	s.tenants[j.tenant].pushFront(j)
+	s.pendingN++
+	s.met.leaseRequeues.Inc()
 }
 
 // leaseLoop is the expiry watchdog: leases whose worker stopped
@@ -930,73 +783,39 @@ func (s *scheduler) leaseLoop() {
 	}
 }
 
-// expireLeases re-enqueues every leased job whose lease has lapsed, at
-// the front of the queue (it was submitted before anything currently
-// pending) and under its original ID — Seed and LibOffset ride along
-// in the retained SubmitRequest, so the rerun is byte-identical. The
-// requeue is journaled so a coordinator restart does not resurrect the
-// dead lease.
+// expireLeases requeues every leased job whose lease has lapsed.
 func (s *scheduler) expireLeases(now time.Time) {
 	s.mu.Lock()
-	if len(s.leases) == 0 || s.draining || s.closed {
+	if len(s.leases) == 0 || s.closed {
 		s.mu.Unlock()
 		return
 	}
-	var expired []*job
+	// s.leases is a map, and leases often lapse together (a restart
+	// re-arms every restored lease with the same TTL): walk by job
+	// number, highest first, so requeueLocked's push-to-front leaves
+	// each tenant's queue head in submission order.
+	leased := make([]*job, 0, len(s.leases))
 	for _, j := range s.leases {
+		leased = append(leased, j)
+	}
+	sort.Slice(leased, func(i, k int) bool { return jobIDAfter(leased[i].id, leased[k].id) })
+	var evs []journalEvent
+	for _, j := range leased {
 		j.mu.Lock()
 		if j.state == StateLeased && now.After(j.leaseExpiry) {
-			s.countMove(StateLeased, StateQueued)
-			j.state = StateQueued
-			j.leaseWorker = ""
-			j.leaseToken = ""
-			j.started = time.Time{}
-			j.lastBeat = time.Time{}
-			j.stage = ""
-			j.progress = 0
-			expired = append(expired, j)
-			s.publishLocked(j, evTypeState, now)
+			s.requeueLocked(j, now)
+			evs = append(evs, journalEvent{Kind: evRequeued, Job: j.id, Time: now})
 		}
 		j.mu.Unlock()
-	}
-	// s.leases is a map, so simultaneously expired jobs (common after a
-	// restart re-arms every restored lease with the same TTL) arrive in
-	// random order; sort by job number so each tenant's requeue front
-	// stays in submission order.
-	sort.Slice(expired, func(i, k int) bool { return jobIDAfter(expired[k].id, expired[i].id) })
-	// pushFront reverses per tenant, so walk back-to-front: the lowest
-	// job number ends up at its tenant's queue head.
-	for i := len(expired) - 1; i >= 0; i-- {
-		j := expired[i]
-		j.queuedAt = now
-		tq := s.tq(j.tenant)
-		tq.pushFront(j)
-		tq.inflight--
-		s.pendingN++
-	}
-	var evs []journalEvent
-	for _, j := range expired {
-		delete(s.leases, j.id)
-		evs = append(evs, journalEvent{Kind: evRequeued, Job: j.id, Time: now})
 	}
 	// One batched write+fsync for the whole sweep: a mass expiry (every
 	// restored lease lapsing on the same tick) must not hold s.mu for
 	// one fsync per dead worker.
-	if s.recordBatch != nil {
-		_ = s.recordBatch(evs)
-	} else if s.record != nil {
-		for _, ev := range evs {
-			_ = s.record(ev)
-		}
-	}
-	s.met.leaseExpiries.Add(float64(len(expired)))
-	s.met.leaseRequeues.Add(float64(len(expired)))
+	_ = s.record(evs...)
+	s.met.leaseExpiries.Add(float64(len(evs)))
 	s.mu.Unlock()
-	for range expired {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+	for range evs {
+		s.poke()
 	}
 }
 
@@ -1005,33 +824,22 @@ func (s *scheduler) expireLeases(now time.Time) {
 // has waited past preemptAfter, and the tenant's in-flight work is
 // below its weighted fair share — the most over-share tenant's
 // youngest leased job is revoked and requeued at the front of its
-// owner's queue. Revocation reuses the lease-expiry machinery (the
-// evicted worker's next heartbeat comes back ErrLeaseLost, the requeue
-// is journaled, Seed and LibOffset ride along in the retained
-// request), so the eventual rerun is byte-identical to an
-// uninterrupted run. Only leased jobs are preemptible: an in-process
-// campaign cannot be revoked mid-run without losing its slot's work.
+// owner's queue, exactly like a lease expiry. In-process holders'
+// leases are as preemptible as remote ones.
 func (s *scheduler) maybePreempt(now time.Time) {
 	if s.preemptAfter <= 0 {
 		return
 	}
 	s.mu.Lock()
-	if s.draining || s.closed || len(s.leases) == 0 || s.pendingN == 0 {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closed || len(s.leases) == 0 || s.pendingN == 0 {
 		return
 	}
-	slots := s.workerSlots + len(s.leases)
+	slots := s.slotsLocked()
 	// Fair shares are computed over tenants with demand (pending or
 	// in-flight work); idle tenants do not dilute anyone's share.
-	totalW := 0
-	for _, name := range s.ring {
-		tq := s.tenants[name]
-		if len(tq.pending) > 0 || tq.inflight > 0 {
-			totalW += tq.weight
-		}
-	}
+	totalW := s.demandWeightLocked()
 	if totalW == 0 {
-		s.mu.Unlock()
 		return
 	}
 	var starved *tenantQueue
@@ -1056,7 +864,6 @@ func (s *scheduler) maybePreempt(now time.Time) {
 		}
 	}
 	if starved == nil {
-		s.mu.Unlock()
 		return
 	}
 	// Victim: the tenant furthest above its weighted fair share that
@@ -1080,7 +887,6 @@ func (s *scheduler) maybePreempt(now time.Time) {
 		}
 	}
 	if victim == nil {
-		s.mu.Unlock()
 		return
 	}
 	// The youngest lease loses: it has the least progress to discard.
@@ -1102,30 +908,15 @@ func (s *scheduler) maybePreempt(now time.Time) {
 		}
 	}
 	if prey == nil {
-		s.mu.Unlock()
 		return
 	}
 	prey.mu.Lock()
 	if prey.state != StateLeased { // raced a completion; try again next tick
 		prey.mu.Unlock()
-		s.mu.Unlock()
 		return
 	}
-	s.countMove(StateLeased, StateQueued)
-	prey.state = StateQueued
-	prey.leaseWorker = ""
-	prey.leaseToken = ""
-	prey.started = time.Time{}
-	prey.lastBeat = time.Time{}
-	prey.stage = ""
-	prey.progress = 0
-	s.publishLocked(prey, evTypeState, now)
+	s.requeueLocked(prey, now)
 	prey.mu.Unlock()
-	prey.queuedAt = now
-	delete(s.leases, prey.id)
-	victim.inflight--
-	victim.pushFront(prey)
-	s.pendingN++
 	// Point the arbiter at the starved tenant with enough credit for
 	// one grab, so the freed slot goes to the job that earned it.
 	s.ringCur = starvedIdx
@@ -1133,15 +924,37 @@ func (s *scheduler) maybePreempt(now time.Time) {
 		starved.deficit = 1
 	}
 	s.met.tenantPreemptions.With(victim.name).Inc()
-	s.met.leaseRequeues.Inc()
-	if s.record != nil {
-		_ = s.record(journalEvent{Kind: evRequeued, Job: prey.id, Time: now})
+	_ = s.record(journalEvent{Kind: evRequeued, Job: prey.id, Time: now})
+	s.poke()
+}
+
+// slotsLocked counts execution slots: every in-process holder once
+// (idle or leasing) plus each remote lease. Callers hold s.mu, which
+// guards every leaseWorker write.
+func (s *scheduler) slotsLocked() int {
+	if s.workerSlots == 0 {
+		return len(s.leases) // pure coordinator: every lease is remote
 	}
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	n := s.workerSlots
+	for _, j := range s.leases {
+		if !strings.HasPrefix(j.leaseWorker, localWorkerPrefix) {
+			n++
+		}
 	}
+	return n
+}
+
+// demandWeightLocked sums the weights of tenants with pending or
+// in-flight work; callers hold s.mu.
+func (s *scheduler) demandWeightLocked() int {
+	totalW := 0
+	for _, name := range s.ring {
+		tq := s.tenants[name]
+		if len(tq.pending) > 0 || tq.inflight > 0 {
+			totalW += tq.weight
+		}
+	}
+	return totalW
 }
 
 // recordDuration feeds one finished run into the Retry-After window.
@@ -1160,7 +973,7 @@ func (s *scheduler) recordDuration(d time.Duration) {
 
 // retryAfterSeconds derives the global 429 Retry-After hint from the
 // current backlog: total queue depth × recent mean job duration,
-// spread over the available execution slots (in-process workers plus
+// spread over the available execution slots (in-process holders plus
 // active remote leases), clamped to [1s, 60s]. With no finished runs
 // yet the mean defaults to 5s.
 func (s *scheduler) retryAfterSeconds() int {
@@ -1175,21 +988,14 @@ func (s *scheduler) retryAfterSeconds() int {
 func (s *scheduler) retryAfterSecondsFor(tenant string) int {
 	s.mu.Lock()
 	depth := s.pendingN
-	slotShare := float64(s.workerSlots + len(s.leases))
+	slotShare := float64(s.slotsLocked())
 	if tenant != "" {
 		tq := s.tenants[tenant]
 		if tq == nil {
 			depth = 0
 		} else {
 			depth = len(tq.pending)
-			totalW := 0
-			for _, name := range s.ring {
-				q := s.tenants[name]
-				if len(q.pending) > 0 || q.inflight > 0 {
-					totalW += q.weight
-				}
-			}
-			if totalW > tq.weight {
+			if totalW := s.demandWeightLocked(); totalW > tq.weight {
 				slotShare = slotShare * float64(tq.weight) / float64(totalW)
 			}
 		}
@@ -1226,108 +1032,92 @@ func (s *scheduler) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// cancelJob cancels a queued or running job. Canceling a terminal job is
-// a no-op; unknown IDs return false.
-func (s *scheduler) cancelJob(id string) (JobSnapshot, error) {
-	return s.cancelJobTraced(id, "")
+// liveJob is get for the calls that end a job (complete, cancel). After
+// shutdown the journal is closed: an outcome acked now could not be
+// recorded and the restarted coordinator would revive the job. Refuse
+// with ErrShuttingDown (HTTP 503, not a malformed-request 400); the
+// caller retries against the next instance. The window exists because
+// the listener drains after the service.
+func (s *scheduler) liveJob(id string) (*job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrShuttingDown
+	}
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, ErrUnknownJob
+	}
+	return j, nil
 }
 
-// cancelJobTraced is cancelJob carrying the originating request ID
-// into the journal.
-func (s *scheduler) cancelJobTraced(id, rid string) (JobSnapshot, error) {
-	// After shutdown the journal is closed: a cancel acknowledged now
-	// could not be recorded, and the restarted coordinator would revive
-	// the job — an acked-then-lost cancel. Refuse instead (HTTP 503);
-	// the tenant retries against the next instance. The in-flight
-	// window exists because the listener drains after the service.
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return JobSnapshot{}, ErrShuttingDown
+// cancelJob cancels a queued or leased job, journaling rid (the
+// originating request ID, "" for in-process callers) with the event.
+// Canceling a terminal job is a no-op; unknown IDs return
+// ErrUnknownJob.
+func (s *scheduler) cancelJob(id, rid string) (JobSnapshot, error) {
+	j, err := s.liveJob(id)
+	if err != nil {
+		return JobSnapshot{}, err
 	}
-	j, ok := s.get(id)
-	if !ok {
-		return JobSnapshot{}, ErrUnknownJob
-	}
-	terminal := false
-	unqueue := false
-	unlease := false
 	j.mu.Lock()
-	switch j.state {
-	case StateQueued, StateLeased:
-		// Queued: never started, mark terminal immediately; pop() will
-		// skip it. Leased: the remote worker cannot be signaled
-		// directly — mark terminal now and let its next heartbeat or
-		// complete come back ErrLeaseLost, at which point it abandons
-		// the run. Either way, journal BEFORE applying, still under
-		// j.mu: the 200 this acks promises the cancel survives a
-		// restart, so a failed append (journal closed by a racing
-		// Shutdown) must refuse the cancel rather than ack it and let
-		// the restarted coordinator revive the job.
-		from := j.state
+	from := j.state
+	if from == StateQueued || from == StateLeased {
+		// Queued: never started, mark terminal immediately; lease will
+		// skip it. Leased: the holder is not signaled directly — mark
+		// terminal now and let its next heartbeat or complete come back
+		// ErrLeaseLost, at which point it abandons the run. Either way,
+		// journal BEFORE applying, still under j.mu: the 200 this acks
+		// promises the cancel survives a restart, so a failed append
+		// (journal closed by a racing Shutdown) must refuse the cancel
+		// rather than ack it and let the restarted coordinator revive
+		// the job.
 		now := time.Now()
-		if s.record != nil {
-			if err := s.record(journalEvent{Kind: evCanceled, Job: j.id, Time: now, RID: rid}); err != nil {
-				j.mu.Unlock()
-				return JobSnapshot{}, ErrShuttingDown
-			}
+		if err := s.record(journalEvent{Kind: evCanceled, Job: j.id, Time: now, RID: rid}); err != nil {
+			j.mu.Unlock()
+			return JobSnapshot{}, ErrShuttingDown
 		}
 		s.countMove(from, StateCanceled)
 		j.state = StateCanceled
 		j.leaseToken = ""
 		j.finished = now
-		j.userCanceled = true
-		terminal = true
-		unqueue = from == StateQueued
-		unlease = from == StateLeased
 		s.markTerminal(StateCanceled)
 		s.publishLocked(j, evTypeState, now)
-	case StateRunning:
-		// The campaign observes the closed channel between stages and
-		// returns ErrCanceled; execute journals the terminal state (the
-		// drain barrier waits for worker goroutines, so that append
-		// cannot race the journal's close).
-		j.userCanceled = true
 	}
 	// Snapshot under the same lock: a caller re-reading through the job
 	// table could race a concurrent completion's prune and find nothing
 	// — or worse, fabricate a state the journal contradicts.
 	snap := j.snapshotLocked()
 	j.mu.Unlock()
-	j.requestCancel()
-	if unlease {
+	switch from {
+	case StateLeased:
 		s.mu.Lock()
-		delete(s.leases, j.id)
-		if tq := s.tenants[j.tenant]; tq != nil {
-			tq.inflight--
-		}
+		s.unleaseLocked(j)
 		s.mu.Unlock()
-	}
-	if unqueue {
+	case StateQueued:
 		// Drop the tombstone from its tenant's pending queue eagerly so
 		// it stops holding a MaxQueued slot and stops inflating the
-		// queue-depth gauge and the derived Retry-After (pop would only
-		// skip it once a worker frees up, spuriously 429ing the tenant's
+		// queue-depth gauge and the derived Retry-After (lease would only
+		// skip it once a worker polls, spuriously 429ing the tenant's
 		// new submissions until then).
 		s.mu.Lock()
 		if tq := s.tenants[j.tenant]; tq != nil && tq.remove(j) {
 			s.pendingN--
 		}
 		s.mu.Unlock()
+	default:
+		return snap, nil
 	}
-	if terminal {
-		// The cancel was terminal (queued or leased): enforce the
-		// record bound now rather than at the next completion.
-		s.pruneTerminal()
-	}
+	// The cancel was terminal: enforce the record bound now rather than
+	// at the next completion.
+	s.pruneTerminal()
 	return snap, nil
 }
 
 // pruneTerminal drops the oldest terminal job records beyond
 // maxRecords from the job table, the order slice and therefore every
 // listing — the fix for the unbounded growth of completed-job state in
-// a long-lived service. Queued and running jobs are never pruned. With
+// a long-lived service. Queued and leased jobs are never pruned. With
 // a journal configured, pruned history remains on disk.
 func (s *scheduler) pruneTerminal() {
 	if s.maxRecords <= 0 {
@@ -1356,7 +1146,7 @@ func (s *scheduler) pruneTerminal() {
 		doomed[id] = true
 		delete(s.jobs, id)
 		// Pruned records leave the table, so they leave the tallies too.
-		s.stateN[stateIdx(states[id])].Add(-1)
+		s.countAdd(states[id], -1)
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
@@ -1396,51 +1186,43 @@ func (s *scheduler) jobsInOrder() []*job {
 }
 
 // list snapshots every job in submission order.
-func (s *scheduler) list() []JobSnapshot { return s.listFiltered(jobQuery{}) }
-
-// jobQuery bounds and filters a job listing.
-type jobQuery struct {
-	state  JobState // only jobs in this state; "" = all
-	tenant string   // only this tenant's jobs; "" = all
-	after  string   // exclusive lower bound on job ID; "" = from the start
-	limit  int      // max snapshots returned; <= 0 = unbounded
-}
+func (s *scheduler) list() []JobSnapshot { return s.listFiltered(JobQuery{}) }
 
 // listFiltered snapshots jobs in submission order under the query's
 // bounds. Only jobs that pass the cursor are locked, and the walk
 // stops as soon as limit snapshots are collected, so a bounded page
 // over a large job table stays cheap. Always returns a non-nil slice
 // (the HTTP listing guarantees [] over null).
-func (s *scheduler) listFiltered(q jobQuery) []JobSnapshot {
+func (s *scheduler) listFiltered(q JobQuery) []JobSnapshot {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.order))
 	for _, id := range s.order {
 		// IDs are handed out in submission order, so the cursor is a
 		// comparison — and keeps working even when the cursor job
 		// itself has been pruned.
-		if q.after != "" && !jobIDAfter(id, q.after) {
+		if q.After != "" && !jobIDAfter(id, q.After) {
 			continue
 		}
 		jobs = append(jobs, s.jobs[id])
 	}
 	s.mu.Unlock()
 	capHint := len(jobs)
-	if q.limit > 0 && q.limit < capHint {
-		capHint = q.limit
+	if q.Limit > 0 && q.Limit < capHint {
+		capHint = q.Limit
 	}
 	out := make([]JobSnapshot, 0, capHint)
 	for _, j := range jobs {
 		j.mu.Lock()
 		snap := j.snapshotLocked()
 		j.mu.Unlock()
-		if q.state != "" && snap.State != q.state {
+		if q.State != "" && snap.State != q.State {
 			continue
 		}
-		if q.tenant != "" && snap.Tenant != q.tenant {
+		if q.Tenant != "" && snap.Tenant != q.Tenant {
 			continue
 		}
 		out = append(out, snap)
-		if q.limit > 0 && len(out) >= q.limit {
+		if q.Limit > 0 && len(out) >= q.Limit {
 			break
 		}
 	}
@@ -1477,54 +1259,24 @@ func (s *scheduler) counts() map[JobState]int {
 func (s *scheduler) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.draining || s.closed
+	return s.closed
 }
 
-// shutdown gracefully drains the scheduler: stop accepting
-// submissions, stop popping the pending queue, cancel running jobs and
-// wait for the workers. Jobs interrupted here are marked canceled
-// in memory but deliberately NOT journaled as terminal — from the
-// journal's point of view they are still in flight, so a service
-// reopened on the same state dir re-enqueues them.
+// shutdown gracefully drains the scheduler: stop accepting submissions
+// and handing out or completing leases, then wait for the watchdog and
+// the in-process holders (which abort their runs on quit). No job
+// changes state: queued jobs stay queued and leases stay out, in memory
+// and in the journal alike, so a service reopened on the same state
+// dir re-enqueues the former and re-adopts (or expires) the latter.
 func (s *scheduler) shutdown() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	s.draining = true
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+	if !s.closed {
+		s.closed = true
+		close(s.quit)
 	}
 	s.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			s.countMove(StateQueued, StateCanceled)
-			j.state = StateCanceled //impeccable:unjournaled drain keeps interrupted jobs in-flight in the journal for rerun
-			j.finished = time.Now()
-			j.drainCanceled = true
-		case StateRunning:
-			j.drainCanceled = true
-		case StateLeased:
-			// Remote leases survive the drain untouched: the journal
-			// still shows the job leased, so a reopened coordinator
-			// re-adopts the lease (and expires it if the worker is
-			// gone). The worker's complete will bounce off the closed
-			// scheduler and the rerun stays deterministic.
-			j.mu.Unlock()
-			continue
-		}
-		j.mu.Unlock()
-		j.requestCancel()
-	}
-	close(s.quit)
 	s.wg.Wait()
-	// Wake every SSE subscriber after the workers have quiesced: their
+	// Wake every SSE subscriber after the holders have quiesced: their
 	// handlers return, so the HTTP server's graceful drain is never held
 	// open by an idle event stream.
 	s.bus.shutdown()

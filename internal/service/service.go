@@ -19,8 +19,10 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// Workers bounds how many campaigns run concurrently; 0 means half
-	// of GOMAXPROCS (each campaign parallelizes internally too).
+	// Workers bounds how many campaigns run concurrently in this
+	// process: each is an in-process lease holder making the same
+	// Lease/Heartbeat/Complete calls as a remote worker. 0 means half of
+	// GOMAXPROCS (each campaign parallelizes internally too).
 	Workers int
 	// CampaignWorkers bounds the intra-campaign worker pools (docking,
 	// screening, ESMACS); 0 means GOMAXPROCS.
@@ -49,9 +51,10 @@ type Options struct {
 	// and the score/feature caches are periodically checkpointed via
 	// the <StateDir>/caches.snap manifest. Open replays the journal:
 	// terminal jobs are served from their persisted summaries, and jobs
-	// that were queued or running at crash time are re-enqueued under
-	// their original IDs (Seed and LibOffset preserved, so reruns are
-	// deterministic and warm-cache-identical). Empty = in-memory only.
+	// that were queued or held by an in-process worker at crash time are
+	// re-enqueued under their original IDs (Seed and LibOffset
+	// preserved, so reruns are deterministic and warm-cache-identical).
+	// Empty = in-memory only.
 	StateDir string
 	// SnapshotEvery is the cadence of the periodic cache checkpoint
 	// when StateDir is set; 0 means 30s. A checkpoint is also taken
@@ -74,7 +77,7 @@ type Options struct {
 	CompactEvery time.Duration
 	// MaxJobRecords bounds how many terminal jobs stay in the
 	// in-memory job table (and so in listings); the oldest terminal
-	// records are pruned first, queued/running jobs never. 0 means
+	// records are pruned first, queued/leased jobs never. 0 means
 	// unbounded — with StateDir set the journal keeps full history
 	// regardless of pruning.
 	MaxJobRecords int
@@ -102,16 +105,17 @@ type Options struct {
 	// tenant (the job requeues and reruns byte-identically, like a
 	// lease expiry). 0 disables preemption.
 	PreemptAfter time.Duration
-	// RemoteOnly starts the service with zero in-process workers: the
-	// coordinator only queues, leases and records jobs, and every
+	// RemoteOnly starts the service with zero in-process lease holders:
+	// the coordinator only queues, leases and records jobs, and every
 	// campaign executes on remote workers (cmd/impeccable-worker)
 	// pulling work through the lease API.
 	RemoteOnly bool
-	// LeaseTTL is the default remote-worker lease duration: a worker
-	// that stops heartbeating for this long loses its job, which
-	// re-enters the queue under its original ID (Seed and LibOffset
-	// preserved, so the rerun is byte-identical). Workers may request a
-	// different TTL per lease, clamped to [1s, 5m]. 0 means 30s.
+	// LeaseTTL is the default lease duration: a worker (remote or
+	// in-process) that stops heartbeating for this long loses its job,
+	// which re-enters the queue under its original ID (Seed and
+	// LibOffset preserved, so the rerun is byte-identical). Workers may
+	// request a different TTL per lease, clamped to [1s, 5m]. 0 means
+	// 30s.
 	LeaseTTL time.Duration
 	// Logf, when set, receives one access-log line per instrumented
 	// HTTP request (method, path, status, latency, request ID). Nil
@@ -120,9 +124,9 @@ type Options struct {
 }
 
 // Service is a long-lived, multi-tenant campaign evaluation service:
-// submitted campaigns queue onto a bounded worker pool and share a
-// sharded docking-score cache and feature cache, so overlapping
-// submissions dedupe their most expensive evaluations.
+// submitted campaigns queue for lease holders (in-process and remote)
+// and share a sharded docking-score cache and feature cache, so
+// overlapping submissions dedupe their most expensive evaluations.
 type Service struct {
 	scores     *ScoreCache
 	features   *FeatureCache
@@ -260,9 +264,11 @@ func Open(opts Options) (*Service, error) {
 		return tenantCfg[tenant].withDefaults(defaults)
 	}
 	s.limiter = newTenantLimiter(limitsFor)
+	if opts.RemoteOnly {
+		workers = 0
+	}
 	cfg := schedConfig{
-		workers:      workers,
-		remoteOnly:   opts.RemoteOnly,
+		localSlots:   workers,
 		leaseTTL:     opts.LeaseTTL,
 		maxQueued:    opts.MaxQueued,
 		maxRecords:   opts.MaxJobRecords,
@@ -297,14 +303,16 @@ func Open(opts Options) (*Service, error) {
 		}
 		s.jl.onRotate = func() { s.met.journalRotations.Inc() }
 		cfg.record = s.jl.append
-		cfg.recordBatch = s.jl.appendBatch
-		cfg.onTerminal = func() { _ = s.Snapshot() }
 	}
-	s.sched = newScheduler(cfg, s.runJob)
+	s.sched = newScheduler(cfg)
 	s.registerCollectors()
 	if len(replayed) > 0 || maxID > 0 {
 		s.sched.restore(replayed, maxID)
 		s.sched.pruneTerminal()
+	}
+	for i := 0; i < workers; i++ {
+		s.sched.wg.Add(1)
+		go s.holdLeases(fmt.Sprint(localWorkerPrefix, i))
 	}
 	if s.stateDir != "" {
 		every := opts.SnapshotEvery
@@ -431,14 +439,14 @@ func (s *Service) SubmitCtx(ctx context.Context, req SubmitRequest) (string, err
 		s.met.tenantRejections.With(tenant, rejectRateLimited).Inc()
 		return "", &RateLimitError{Tenant: tenant, RetryAfter: wait}
 	}
-	return s.sched.submitTraced(req, now, RequestIDFrom(ctx))
+	return s.sched.submit(req, now, RequestIDFrom(ctx))
 }
 
 // BaseConfig translates a submission into the campaign config knobs
-// that determine its scientific output — the part shared by the
-// coordinator's in-process execution and remote workers, so both run
-// byte-identical science. Callers attach caches, worker width,
-// cancellation and progress observers on top.
+// that determine its scientific output — the part shared by in-process
+// lease holders and remote workers, so both run byte-identical
+// science. Callers attach caches, worker width, cancellation and
+// progress observers on top.
 func BaseConfig(req SubmitRequest, t *receptor.Target) campaign.Config {
 	cfg := campaign.DefaultConfig(t)
 	if req.LibrarySize > 0 {
@@ -464,67 +472,112 @@ func BaseConfig(req SubmitRequest, t *receptor.Target) campaign.Config {
 	return cfg
 }
 
-// configFor translates a submission into a campaign config wired to the
-// shared caches and the job's cancellation channel.
-func (s *Service) configFor(j *job) campaign.Config {
-	t := s.targets[j.req.Target]
-	cfg := BaseConfig(j.req, t)
-	cfg.Streaming = cfg.Streaming || s.streaming
+// localWorkerPrefix is the worker-ID namespace of in-process lease
+// holders ("local/0", "local/1", ...). It is reserved: the HTTP lease
+// endpoint refuses it, and a journaled lease carrying it replays as
+// queued — its holder died with the process that wrote it.
+const localWorkerPrefix = "local/"
+
+// holdLeases is one in-process lease holder: it pulls jobs through
+// Lease and runs them until shutdown, like a remote worker whose
+// transport is a function call instead of HTTP.
+func (s *Service) holdLeases(id string) {
+	defer s.sched.wg.Done()
+	for {
+		// A failed grant (journal closing under a drain) leaves the job
+		// queued; like an empty queue, wait for the next poke.
+		if grant, _ := s.Lease(id, 0); grant != nil {
+			s.runLease(id, grant)
+			continue
+		}
+		select {
+		case <-s.sched.wake:
+		case <-s.sched.quit:
+			return
+		}
+	}
+}
+
+// runLease executes one leased campaign against the service's own
+// caches and completes it. Heartbeats ride on the campaign's progress
+// callback plus a TTL/3 ticker; one that fails (lease expired or
+// preempted, job canceled) aborts the run, as does a drain, and the
+// job's next holder reruns it byte-identically. A panicking campaign
+// fails its job, never the server.
+func (s *Service) runLease(id string, g *LeaseGrant) {
+	t, ok := s.targets[g.Req.Target]
+	if !ok {
+		// Only a replayed job can name a target this process no longer
+		// serves; fail it loudly rather than bounce it between leases.
+		_ = s.Complete(id, g.Token, g.JobID, WorkerResult{Error: fmt.Sprintf("service: unknown target %q", g.Req.Target)})
+		return
+	}
+	cfg := BaseConfig(g.Req, t)
 	cfg.Workers = s.workers
 	cfg.DockCache = s.scores.ForTarget(t.Name)
 	cfg.Features = s.features
-	cfg.Cancel = j.cancel
-	cfg.Progress = func(stage string, frac float64) {
-		j.mu.Lock()
-		// Publish only meaningful movement — a stage change or ≥1% of
+
+	cancel := make(chan struct{})
+	var once sync.Once
+	abort := func() { once.Do(func() { close(cancel) }) }
+	cfg.Cancel = cancel
+	beat := func(stage string, progress float64) {
+		if _, err := s.Heartbeat(id, g.Token, g.JobID, stage, progress); err != nil {
+			abort()
+		}
+	}
+	var mu sync.Mutex // the campaign may report from several goroutines
+	stage, progress := "", 0.0
+	cfg.Progress = func(st string, frac float64) {
+		mu.Lock()
+		// Heartbeat only meaningful movement — a stage change or ≥1% of
 		// progress — so a chatty campaign cannot churn the job's bounded
 		// event ring out of its replay window.
-		notable := stage != j.stage || frac >= j.progress+0.01 || (frac >= 1 && j.progress < 1)
-		j.stage, j.progress = stage, frac
+		notable := st != stage || frac >= progress+0.01 || (frac >= 1 && progress < 1)
 		if notable {
-			s.sched.publishLocked(j, evTypeProgress, time.Now())
+			stage, progress = st, frac
 		}
-		j.mu.Unlock()
+		mu.Unlock()
+		if notable {
+			beat(st, frac)
+		}
 	}
-	return cfg
-}
 
-// runJob executes one job's campaign; invoked by scheduler workers. A
-// panicking campaign fails its job, never the server — every other
-// tenant's jobs keep running.
-func (s *Service) runJob(j *job) {
-	cfg := s.configFor(j)
-	res, err := func() (res *campaign.Result, err error) {
+	var res *campaign.Result
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("service: campaign panicked: %v", r)
 			}
 		}()
-		return campaign.RunWithPool(cfg, nil, j.req.LibOffset)
+		res, err = campaign.RunWithPool(cfg, nil, g.Req.LibOffset)
 	}()
-	j.mu.Lock()
-	switch {
-	case errors.Is(err, campaign.ErrCanceled):
-		j.state = StateCanceled //impeccable:unjournaled in-process runner journals once after the run settles
-	case err != nil:
-		j.state = StateFailed //impeccable:unjournaled in-process runner journals once after the run settles
-		j.err = err.Error()
-	default:
-		j.progress = 1
-		j.result = &jobResult{
-			full: res,
-			summary: ResultSummary{
-				Funnel:          res.Funnel,
-				Top:             res.Top,
-				ScientificYield: res.ScientificYield,
-			},
+	tick := time.NewTicker(max(time.Duration(g.TTLSeconds*float64(time.Second))/3, 10*time.Millisecond))
+	defer tick.Stop()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case <-tick.C:
+			beat("", 0) // extends the lease; the job keeps its stage/progress
+		case <-s.sched.quit:
+			abort()
+			<-done
+			return
 		}
 	}
-	j.mu.Unlock()
-	if err == nil && res != nil {
-		s.met.observeFunnel(j.tenant, res.Funnel.Timings, res.Funnel.WallSeconds)
+	var out WorkerResult
+	if err != nil {
+		out.Error = err.Error()
+	} else {
+		out.Summary = &ResultSummary{Funnel: res.Funnel, Top: res.Top, ScientificYield: res.ScientificYield}
 	}
-	s.trimResults()
+	// A run aborted over a lost lease bounces off ErrLeaseLost here, like
+	// a remote worker's late complete: the queue owns the job again.
+	_ = s.complete(id, g.Token, g.JobID, out, res)
 }
 
 // trimResults releases the full campaign results of the oldest done
@@ -551,7 +604,7 @@ func (s *Service) trimResults() {
 	}
 }
 
-// LeaseGrant is what a remote worker receives from Lease: the job, its
+// LeaseGrant is what a worker receives from Lease: the job, its
 // full submission (Seed and LibOffset included, Streaming resolved
 // against the service-wide option) and the lease window. The worker
 // must heartbeat before ExpiresAt or the job is re-enqueued.
@@ -567,8 +620,8 @@ type LeaseGrant struct {
 	Token string `json:"token"`
 }
 
-// Lease hands the next runnable job to the named remote worker under a
-// TTL lease (ttl 0 = the service default, explicit values clamped to
+// Lease hands the next runnable job to the named worker under a TTL
+// lease (ttl 0 = the service default, explicit values clamped to
 // [1s, 5m]). Returns (nil, nil) when no work is available.
 func (s *Service) Lease(workerID string, ttl time.Duration) (*LeaseGrant, error) {
 	j, err := s.sched.lease(workerID, ttl, time.Now())
@@ -599,9 +652,9 @@ func (s *Service) Heartbeat(workerID, token, jobID, stage string, progress float
 	return s.sched.heartbeat(workerID, token, jobID, stage, progress, time.Now())
 }
 
-// WorkerResult is the outcome a remote worker posts back for a leased
-// job: exactly one of Summary (success), Error (failure) or Canceled,
-// plus the score/feature-cache deltas the run produced.
+// WorkerResult is the outcome a worker posts back for a leased job:
+// exactly one of Summary (success), Error (failure) or Canceled, plus
+// the score/feature-cache deltas the run produced.
 type WorkerResult struct {
 	Summary  *ResultSummary `json:"summary,omitempty"`
 	Error    string         `json:"error,omitempty"`
@@ -625,13 +678,19 @@ type WorkerRunStats struct {
 	WallSeconds  float64                `json:"wall_seconds,omitempty"`
 }
 
-// Complete finalizes a leased job with a remote worker's result and
-// merges its cache deltas into the coordinator's sharded caches. The
-// deltas are merged only when the completion is accepted: an unknown
-// job, a lost lease or a malformed outcome must not be able to write
-// into the shared caches (a poisoned score entry would silently break
-// the byte-identical determinism every rerun relies on).
+// Complete finalizes a leased job with a worker's result and merges
+// its cache deltas into the coordinator's sharded caches. The deltas
+// are merged only when the completion is accepted: an unknown job, a
+// lost lease or a malformed outcome must not be able to write into the
+// shared caches (a poisoned score entry would silently break the
+// byte-identical determinism every rerun relies on).
 func (s *Service) Complete(workerID, token, jobID string, res WorkerResult) error {
+	return s.complete(workerID, token, jobID, res, nil)
+}
+
+// complete is Complete plus the in-memory campaign result an
+// in-process holder hands over for FullResult (nil from remote workers).
+func (s *Service) complete(workerID, token, jobID string, res WorkerResult, full *campaign.Result) error {
 	state := StateDone
 	switch {
 	case res.Canceled:
@@ -648,8 +707,11 @@ func (s *Service) Complete(workerID, token, jobID string, res WorkerResult) erro
 	if j, ok := s.sched.get(jobID); ok {
 		tenant = j.tenant
 	}
-	if err := s.sched.completeRemote(workerID, token, jobID, state, res.Error, res.Summary, time.Now()); err != nil {
+	if err := s.sched.complete(workerID, token, jobID, state, res.Error, res.Summary, full, time.Now()); err != nil {
 		return err
+	}
+	if full != nil {
+		s.trimResults()
 	}
 	s.scores.Import(res.Scores)
 	s.features.Import(res.Features)
@@ -666,11 +728,10 @@ func (s *Service) Complete(workerID, token, jobID string, res WorkerResult) erro
 		}
 		s.met.observeFunnel(tenant, timings, wall)
 	}
-	// The per-terminal checkpoint runs here, after the merge
-	// (completeRemote deliberately skips onTerminal): a checkpoint
-	// taken before the deltas land would systematically exclude this
-	// very job's docking labels — the main warmth a remote run
-	// contributes.
+	// The per-terminal checkpoint runs here and only here, after the
+	// merge: a checkpoint taken before the deltas land would
+	// systematically exclude this very job's docking labels — the main
+	// warmth a remote run contributes.
 	_ = s.Snapshot()
 	return nil
 }
@@ -704,13 +765,13 @@ type JobQuery struct {
 // JobsFiltered lists jobs in submission order under the query's
 // bounds; always returns a non-nil slice.
 func (s *Service) JobsFiltered(q JobQuery) []JobSnapshot {
-	return s.sched.listFiltered(jobQuery{state: q.State, tenant: q.Tenant, after: q.After, limit: q.Limit})
+	return s.sched.listFiltered(q)
 }
 
 // Cancel requests cancellation of a job; false if the ID is unknown
 // or the service is already shut down.
 func (s *Service) Cancel(id string) bool {
-	_, err := s.sched.cancelJob(id)
+	_, err := s.sched.cancelJob(id, "")
 	return err == nil
 }
 
@@ -762,7 +823,8 @@ func (s *Service) resolveSummary(ref *blob.Ref) (*ResultSummary, error) {
 }
 
 // FullResult returns the complete in-memory campaign result of a done
-// job (for in-process embedders; not exposed over HTTP). Returns
+// job run by an in-process holder (for embedders; not exposed over
+// HTTP; remote workers post summaries only). Returns
 // ErrNoResult once retention trimming has released the full result —
 // the summary remains available via Result.
 func (s *Service) FullResult(id string) (*campaign.Result, error) {
@@ -798,11 +860,12 @@ func (s *Service) FeatureCacheStats() CacheStats { return s.features.Stats() }
 func (s *Service) Uptime() time.Duration { return time.Since(s.started) }
 
 // Shutdown gracefully drains the service: new submissions are
-// rejected, the pending queue stops popping, running jobs are
-// canceled, and — with a StateDir — a final cache checkpoint is
-// written and the journal is closed. Jobs interrupted by the drain are
-// not journaled as terminal, so a service reopened on the same
-// StateDir re-enqueues them. Idempotent.
+// rejected, no more leases are granted or completed, in-process runs
+// are aborted with their leases abandoned, and — with a StateDir — a
+// final cache checkpoint is written and the journal is closed. No job
+// changes state in a drain, so a service reopened on the same StateDir
+// re-enqueues queued and in-process-held jobs and re-adopts remote
+// leases. Idempotent.
 func (s *Service) Shutdown() {
 	s.sched.shutdown()
 	if s.stateDir == "" {

@@ -114,7 +114,7 @@ func TestCancelRunningJob(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		snap, _ := s.Status(id)
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -117,7 +117,7 @@ func TestStreamingJobCancellation(t *testing.T) {
 		if !ok {
 			t.Fatal("job vanished")
 		}
-		if snap.State == StateRunning {
+		if snap.State == StateLeased {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -15,7 +15,7 @@
 //     and a per-tenant token bucket rate-limits submissions (HTTP 429
 //     with a tenant-derived Retry-After).
 //   - Scheduling: each tenant has its own queue (priority-ordered, FIFO
-//     within a priority); workers and the remote lease path both pull
+//     within a priority); every lease, in-process or remote, is granted
 //     through one DRR arbiter honoring configurable weights and
 //     per-tenant running-concurrency caps.
 //   - Preemption: a starved tenant whose head job carries Priority > 0
@@ -89,7 +89,7 @@ type TenantLimits struct {
 	// service-wide default is set.
 	MaxQueued int
 	// MaxRunning caps how many of the tenant's jobs may execute at once
-	// (in-process running plus remote leases). 0 means unbounded.
+	// (its outstanding leases, in-process and remote). 0 means unbounded.
 	MaxRunning int
 	// SubmitPerSec is the tenant's token-bucket submit rate; 0 disables
 	// rate limiting for the tenant.
@@ -133,8 +133,8 @@ type tenantQueue struct {
 	maxQueued  int
 	maxRunning int
 	pending    []*job
-	// inflight counts the tenant's jobs currently executing: in-process
-	// running plus remote leases. The concurrency cap gates on it, and
+	// inflight counts the tenant's jobs currently executing: its leases,
+	// in-process and remote. The concurrency cap gates on it, and
 	// the preemption arbiter compares it against the tenant's fair share.
 	inflight int
 }

@@ -25,11 +25,11 @@ func BenchmarkTenantQueueLatency(b *testing.B) {
 			s := remoteScheduler(time.Hour, nil)
 			now := time.Now()
 			for k := 0; k < flood; k++ {
-				if _, err := s.submit(tenantReq("flood", 0), now); err != nil {
+				if _, err := s.submit(tenantReq("flood", 0), now, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
-			lightID, err := s.submit(tenantReq(lightTenant, 0), now)
+			lightID, err := s.submit(tenantReq(lightTenant, 0), now, "")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func BenchmarkTenantQueueLatency(b *testing.B) {
 				j.mu.Lock()
 				tok := j.leaseToken
 				j.mu.Unlock()
-				if err := s.completeRemote("w1", tok, j.id, StateDone, "", &ResultSummary{}, now); err != nil {
+				if err := s.complete("w1", tok, j.id, StateDone, "", &ResultSummary{}, nil, now); err != nil {
 					b.Fatal(err)
 				}
 			}

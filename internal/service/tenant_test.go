@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -67,11 +68,11 @@ func TestDRRFairnessUnderFlood(t *testing.T) {
 	defer s.shutdown()
 	now := time.Now()
 	for i := 0; i < 50; i++ {
-		if _, err := s.submit(tenantReq("flood", 0), now); err != nil {
+		if _, err := s.submit(tenantReq("flood", 0), now, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lightID, err := s.submit(tenantReq("light", 0), now)
+	lightID, err := s.submit(tenantReq("light", 0), now, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,23 +95,23 @@ func TestDRRFairnessUnderFlood(t *testing.T) {
 // TestDRRWeightedShares pins the proportional split: weights 3:1 yield
 // a heavy-heavy-heavy-light grant cadence over contended slots.
 func TestDRRWeightedShares(t *testing.T) {
-	cfg := schedConfig{remoteOnly: true, leaseTTL: time.Hour,
+	cfg := schedConfig{leaseTTL: time.Hour,
 		limits: func(tenant string) TenantLimits {
 			if tenant == "heavy" {
 				return TenantLimits{Weight: 3}
 			}
 			return TenantLimits{}
 		}}
-	s := newScheduler(cfg, func(*job) {})
+	s := newScheduler(cfg)
 	defer s.shutdown()
 	now := time.Now()
 	for i := 0; i < 8; i++ {
-		if _, err := s.submit(tenantReq("heavy", 0), now); err != nil {
+		if _, err := s.submit(tenantReq("heavy", 0), now, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := s.submit(tenantReq("light", 0), now); err != nil {
+		if _, err := s.submit(tenantReq("light", 0), now, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,9 +137,9 @@ func TestTenantPriorityOrdering(t *testing.T) {
 	s := remoteScheduler(time.Hour, nil)
 	defer s.shutdown()
 	now := time.Now()
-	low1, _ := s.submit(tenantReq("acme", 0), now)
-	low2, _ := s.submit(tenantReq("acme", 0), now)
-	high, _ := s.submit(tenantReq("acme", 5), now)
+	low1, _ := s.submit(tenantReq("acme", 0), now, "")
+	low2, _ := s.submit(tenantReq("acme", 0), now, "")
+	high, _ := s.submit(tenantReq("acme", 5), now, "")
 	var got []string
 	for i := 0; i < 3; i++ {
 		j, err := s.lease("w1", 0, time.Now())
@@ -159,18 +160,18 @@ func TestTenantPriorityOrdering(t *testing.T) {
 // skipped — its queued work waits even with free slots — and resumes
 // when an in-flight job completes.
 func TestTenantMaxRunningCap(t *testing.T) {
-	cfg := schedConfig{remoteOnly: true, leaseTTL: time.Hour,
+	cfg := schedConfig{leaseTTL: time.Hour,
 		limits: func(tenant string) TenantLimits {
 			if tenant == "capped" {
 				return TenantLimits{MaxRunning: 1}
 			}
 			return TenantLimits{}
 		}}
-	s := newScheduler(cfg, func(*job) {})
+	s := newScheduler(cfg)
 	defer s.shutdown()
 	now := time.Now()
-	first, _ := s.submit(tenantReq("capped", 0), now)
-	second, _ := s.submit(tenantReq("capped", 0), now)
+	first, _ := s.submit(tenantReq("capped", 0), now, "")
+	second, _ := s.submit(tenantReq("capped", 0), now, "")
 	j, err := s.lease("w1", 0, time.Now())
 	if err != nil || j == nil || j.id != first {
 		t.Fatalf("first grant = %v, %v", j, err)
@@ -178,7 +179,7 @@ func TestTenantMaxRunningCap(t *testing.T) {
 	if extra, err := s.lease("w2", 0, time.Now()); err != nil || extra != nil {
 		t.Fatalf("lease over the cap = %v, %v; want nil, nil", extra, err)
 	}
-	if err := s.completeRemote("w1", tokenOf(t, s, first), first, StateDone, "", &ResultSummary{}, time.Now()); err != nil {
+	if err := s.complete("w1", tokenOf(t, s, first), first, StateDone, "", &ResultSummary{}, nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	j2, err := s.lease("w2", 0, time.Now())
@@ -191,22 +192,26 @@ func TestTenantMaxRunningCap(t *testing.T) {
 // bound gets ErrQueueFull while another tenant still submits freely —
 // the bound is per tenant, not global.
 func TestTenantMaxQueuedIsolation(t *testing.T) {
-	cfg := schedConfig{remoteOnly: true, leaseTTL: time.Hour, maxQueued: 2}
-	s := newScheduler(cfg, func(*job) {})
+	cfg := schedConfig{leaseTTL: time.Hour, maxQueued: 2}
+	s := newScheduler(cfg)
 	defer s.shutdown()
 	now := time.Now()
 	for i := 0; i < 2; i++ {
-		if _, err := s.submit(tenantReq("noisy", 0), now); err != nil {
+		if _, err := s.submit(tenantReq("noisy", 0), now, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.submit(tenantReq("noisy", 0), now); !errors.Is(err, ErrQueueFull) {
+	_, err := s.submit(tenantReq("noisy", 0), now, "")
+	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-bound submit = %v, want ErrQueueFull", err)
+	}
+	if want := `tenant "noisy" has 2 jobs pending, max 2`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("over-bound submit error = %q, want it to say %q", err, want)
 	}
 	if v := s.met.tenantRejections.With("noisy", rejectQueueFull).Value(); v != 1 {
 		t.Fatalf("tenant_rejections{noisy,queue_full} = %v, want 1", v)
 	}
-	if _, err := s.submit(tenantReq("quiet", 0), now); err != nil {
+	if _, err := s.submit(tenantReq("quiet", 0), now, ""); err != nil {
 		t.Fatalf("other tenant blocked by noisy tenant's bound: %v", err)
 	}
 }
@@ -216,19 +221,19 @@ func TestTenantMaxQueuedIsolation(t *testing.T) {
 // and the Retry-After hint stop counting it — no dead entry lingers
 // until a worker would have popped it.
 func TestCancelWhileQueuedLeavesQueueEagerly(t *testing.T) {
-	cfg := schedConfig{remoteOnly: true, leaseTTL: time.Hour, maxQueued: 3}
-	s := newScheduler(cfg, func(*job) {})
+	cfg := schedConfig{leaseTTL: time.Hour, maxQueued: 3}
+	s := newScheduler(cfg)
 	defer s.shutdown()
 	now := time.Now()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := s.submit(tenantReq("acme", 0), now)
+		id, err := s.submit(tenantReq("acme", 0), now, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	if _, err := s.cancelJob(ids[1]); err != nil {
+	if _, err := s.cancelJob(ids[1], ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.queueDepth(); got != 2 {
@@ -238,7 +243,7 @@ func TestCancelWhileQueuedLeavesQueueEagerly(t *testing.T) {
 		t.Fatalf("tenant depth after cancel = %d, want 2", got)
 	}
 	// The freed slot is usable again at once.
-	if _, err := s.submit(tenantReq("acme", 0), now); err != nil {
+	if _, err := s.submit(tenantReq("acme", 0), now, ""); err != nil {
 		t.Fatalf("submit into freed slot = %v", err)
 	}
 	// Grants skip the canceled job entirely.
@@ -256,20 +261,20 @@ func TestCancelWhileQueuedLeavesQueueEagerly(t *testing.T) {
 // requeue journaled, and the freed slot goes to the starved tenant.
 func TestPreemptionRevokesYoungestOverShare(t *testing.T) {
 	jl := &memJournal{}
-	cfg := schedConfig{remoteOnly: true, leaseTTL: time.Hour,
+	cfg := schedConfig{leaseTTL: time.Hour,
 		preemptAfter: time.Second, record: jl.record}
-	s := newScheduler(cfg, func(*job) {})
+	s := newScheduler(cfg)
 	defer s.shutdown()
 	t0 := time.Now()
-	h1, _ := s.submit(tenantReq("hog", 0), t0)
-	h2, _ := s.submit(tenantReq("hog", 0), t0.Add(10*time.Millisecond))
+	h1, _ := s.submit(tenantReq("hog", 0), t0, "")
+	h2, _ := s.submit(tenantReq("hog", 0), t0.Add(10*time.Millisecond), "")
 	if j, err := s.lease("w1", 0, t0.Add(20*time.Millisecond)); err != nil || j == nil || j.id != h1 {
 		t.Fatalf("lease h1 = %v, %v", j, err)
 	}
 	if j, err := s.lease("w2", 0, t0.Add(30*time.Millisecond)); err != nil || j == nil || j.id != h2 {
 		t.Fatalf("lease h2 = %v, %v", j, err)
 	}
-	vip, err := s.submit(tenantReq("vip", 2), t0.Add(40*time.Millisecond))
+	vip, err := s.submit(tenantReq("vip", 2), t0.Add(40*time.Millisecond), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,11 +551,11 @@ func TestTenantRetryAfterUsesOwnBacklog(t *testing.T) {
 	s.recordDuration(10 * time.Second)
 	now := time.Now()
 	for i := 0; i < 6; i++ {
-		if _, err := s.submit(tenantReq("flood", 0), now); err != nil {
+		if _, err := s.submit(tenantReq("flood", 0), now, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.submit(tenantReq("light", 0), now); err != nil {
+	if _, err := s.submit(tenantReq("light", 0), now, ""); err != nil {
 		t.Fatal(err)
 	}
 	// flood: 6 pending × 10s over its half of 2 slots (weight 1 of 2) = 60s.

@@ -39,12 +39,18 @@ func newCoordinator(t *testing.T, opts service.Options) (*service.Service, *http
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, newServer(t, s)
+}
+
+// newServer puts a service behind httptest; both go down with the test.
+func newServer(t *testing.T, s *service.Service) *httptest.Server {
+	t.Helper()
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		srv.Close()
 		s.Shutdown()
 	})
-	return s, srv
+	return srv
 }
 
 // newWorker builds a quiet, fast-polling test worker.
