@@ -9,10 +9,11 @@
 //     and a sampled inclusion proof verifies against it;
 //   - every spilled artifact ({sha256, size} ref in a journal line)
 //     resolves to bytes matching its hash;
-//   - the cache-snapshot manifest names a readable, hash-clean blob.
+//   - every cache-checkpoint chunk the caches.snap manifest names is a
+//     readable, hash-clean blob.
 //
 // A bit flipped anywhere in the state dir — a journal field, a spilled
-// request or result ledger, a cache checkpoint — fails the run.
+// request or result ledger, a cache-checkpoint chunk — fails the run.
 //
 // Usage:
 //

@@ -141,7 +141,8 @@ type (
 	CacheStats = service.CacheStats
 	// ScoreEntry is one exported score-cache record (cache checkpoints).
 	ScoreEntry = service.ScoreEntry
-	// FeatureEntry is one exported feature-cache record.
+	// FeatureEntry is one feature-cache record as older workers shipped
+	// it; accepted in a WorkerResult and ignored.
 	FeatureEntry = service.FeatureEntry
 	// JobQuery bounds and filters a job listing (state/cursor/limit).
 	JobQuery = service.JobQuery

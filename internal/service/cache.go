@@ -9,6 +9,7 @@
 package service
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +33,10 @@ type scoreKey struct {
 type scoreShard struct {
 	mu sync.RWMutex
 	m  map[scoreKey]dock.Result
+	// dirty holds the keys stored since the last takeDirty — what the
+	// next cache checkpoint has to write. Nil unless trackDirty was
+	// called: a cache nobody checkpoints must not accumulate marks.
+	dirty map[scoreKey]struct{}
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -117,12 +122,20 @@ func (c *ScoreCache) put(target string, m *chem.Molecule, r dock.Result) {
 	c.puts.Add(1)
 }
 
-// store inserts one entry under the capacity bound; r's genome must
-// already be private to the cache.
+// store inserts one entry under the capacity bound and, once trackDirty
+// is on, records its key for the next checkpoint; r's genome must
+// already be private to the cache. Re-storing an identical result (a
+// rerun, a second worker's delta for the same window) changes nothing
+// and marks nothing.
 func (c *ScoreCache) store(k scoreKey, r dock.Result) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if _, exists := s.m[k]; !exists && c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
+	defer s.mu.Unlock()
+	if old, exists := s.m[k]; exists {
+		if reflect.DeepEqual(old, r) {
+			return
+		}
+	} else if c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
 		for victim := range s.m {
 			delete(s.m, victim)
 			s.evicts.Add(1)
@@ -130,7 +143,55 @@ func (c *ScoreCache) store(k scoreKey, r dock.Result) {
 		}
 	}
 	s.m[k] = r
-	s.mu.Unlock()
+	if s.dirty != nil {
+		s.dirty[k] = struct{}{}
+	}
+}
+
+// trackDirty turns on dirty-key tracking. Call before concurrent use,
+// and after loading a checkpoint: what it restored is already on disk.
+func (c *ScoreCache) trackDirty() {
+	for i := range c.shards {
+		c.shards[i].dirty = make(map[scoreKey]struct{})
+	}
+}
+
+// takeDirty drains the dirty set, returning the current value of every
+// key stored since the last call (evicted keys have nothing to write).
+func (c *ScoreCache) takeDirty() []ScoreEntry {
+	var out []ScoreEntry
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for k := range s.dirty {
+			if r, ok := s.m[k]; ok {
+				out = append(out, exportEntry(k, r))
+			}
+		}
+		clear(s.dirty)
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// markDirty puts entries back in the dirty set: the checkpoint that
+// took them failed, so the next one must carry them.
+func (c *ScoreCache) markDirty(entries []ScoreEntry) {
+	for _, e := range entries {
+		k := scoreKey{target: e.Target, fp: e.FP}
+		s := c.shardFor(k)
+		s.mu.Lock()
+		if s.dirty != nil {
+			s.dirty[k] = struct{}{}
+		}
+		s.mu.Unlock()
+	}
+}
+
+// exportEntry copies one cached result out of its shard.
+func exportEntry(k scoreKey, r dock.Result) ScoreEntry {
+	r.Genome = append([]float64(nil), r.Genome...)
+	return ScoreEntry{Target: k.target, FP: k.fp, Result: r}
 }
 
 // ScoreEntry is one exported score-cache record: the (target,
@@ -152,8 +213,7 @@ func (c *ScoreCache) Export() []ScoreEntry {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for k, r := range s.m {
-			r.Genome = append([]float64(nil), r.Genome...)
-			out = append(out, ScoreEntry{Target: k.target, FP: k.fp, Result: r})
+			out = append(out, exportEntry(k, r))
 		}
 		s.mu.RUnlock()
 	}

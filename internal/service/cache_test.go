@@ -195,35 +195,6 @@ func TestScoreCacheImportRespectsCapacity(t *testing.T) {
 	}
 }
 
-func TestFeatureCacheExportImport(t *testing.T) {
-	c := NewFeatureCache(4, 0)
-	for id := uint64(0); id < 50; id++ {
-		c.Features(id)
-	}
-	entries := c.Export()
-	if len(entries) != 50 {
-		t.Fatalf("exported %d entries, want 50", len(entries))
-	}
-	c2 := NewFeatureCache(8, 0)
-	c2.Import(entries)
-	if st := c2.Stats(); st.Entries != 50 {
-		t.Fatalf("imported %d entries, want 50", st.Entries)
-	}
-	// A restored vector must be served as a hit, byte-identical to the
-	// deterministic materialization.
-	before := c2.Stats().Hits
-	got := c2.Features(7)
-	want := chem.FromID(7).FeatureVector()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("restored features diverge at %d", i)
-		}
-	}
-	if c2.Stats().Hits != before+1 {
-		t.Fatal("restored entry was not served as a cache hit")
-	}
-}
-
 func TestFeatureCacheConcurrent(t *testing.T) {
 	c := NewFeatureCache(8, 0)
 	want := chem.FromID(5).FeatureVector()
@@ -292,7 +263,60 @@ func TestFeatureCacheFeaturesInto(t *testing.T) {
 	}
 	// The cached copy must not alias the caller's buffer.
 	dst[0] = 123
-	if v, _ := c.Lookup(11); v[0] == 123 {
+	if v, _ := c.lookup(11); v[0] == 123 {
 		t.Fatal("cache retained a reference to the caller's buffer")
+	}
+}
+
+// TestScoreCacheDirtyConcurrent drains the dirty set while several
+// goroutines store: every stored entry must come out of exactly the
+// drains plus the final one — none lost to the race between a store's
+// mark and a drain's clear — and a failed checkpoint's markDirty must
+// bring its entries back.
+func TestScoreCacheDirtyConcurrent(t *testing.T) {
+	c := NewScoreCache(8, 0)
+	c.trackDirty()
+	const writers, perWriter = 4, 200
+	seen := make(map[uint64]bool)
+	take := func() {
+		for _, e := range c.takeDirty() {
+			seen[e.Result.MolID] = true
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			view := c.ForTarget("PLPro")
+			for i := 0; i < perWriter; i++ {
+				id := uint64(w*perWriter + i)
+				view.Put(molForTest(id), mockResult(id))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for draining := true; draining; {
+		select {
+		case <-done:
+			draining = false
+		default:
+		}
+		take()
+	}
+	// Fingerprint collisions fold distinct IDs into one entry; what the
+	// drains saw must cover what the cache holds, entry for entry.
+	for _, e := range c.Export() {
+		if !seen[e.Result.MolID] {
+			t.Fatalf("entry for molecule %d was stored but never drained", e.Result.MolID)
+		}
+	}
+	if d := c.takeDirty(); len(d) != 0 {
+		t.Fatalf("%d entries still dirty after the final drain", len(d))
+	}
+	c.markDirty(c.Export()[:10])
+	if d := c.takeDirty(); len(d) != 10 {
+		t.Fatalf("markDirty brought back %d entries, want 10", len(d))
 	}
 }

@@ -18,11 +18,16 @@
 //     after it leaves raw segments alongside the checkpoint that
 //     restates them, which replay reduces to the same state (events
 //     are absolute and chains dedupe by hash).
-//  5. Delete the lower sealed segments, then sweep blobs no journal
-//     event or snapshot manifest references.
+//  5. Delete the lower sealed segments, then sweep blobs that neither a
+//     journal event nor the cache-snapshot manifest (any of its
+//     chunks) references.
 //
-// Checkpoints always spill their request and summary payloads to the
-// blob store (terminal artifacts are read lazily if ever), and carry
+// Checkpoints spill their summary to the blob store (a terminal
+// artifact, read lazily if ever) unless it is tiny, and keep the
+// request as the submitted event had it — replay reads every request at
+// open, so a blob per job would cost two fsyncs here and a file read
+// there. A compaction running beside live traffic competes with it for
+// the disk's fsyncs, so it writes only what shortens replay. They carry
 // the original chain's leaves and Merkle root so inclusion proofs
 // survive the raw events' deletion.
 package service
@@ -33,6 +38,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -195,29 +201,9 @@ func (jl *journal) compact(retain func(jobID string) bool) (compactStats, error)
 
 	// Install the checkpoint segment atomically over the highest sealed
 	// slot, then delete the lower segments.
-	tmp, err := os.CreateTemp(jl.dir, "journal-ckpt-*.tmp")
-	if err != nil {
-		return st, fmt.Errorf("service: creating checkpoint segment: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return st, fmt.Errorf("service: writing checkpoint segment: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return st, fmt.Errorf("service: syncing checkpoint segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return st, fmt.Errorf("service: closing checkpoint segment: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(jl.dir, segmentName(hi))); err != nil {
-		os.Remove(tmp.Name())
+	if err := installFile(jl.dir, segmentName(hi), buf); err != nil {
 		return st, fmt.Errorf("service: installing checkpoint segment: %w", err)
 	}
-	syncDir(jl.dir)
 	if compactInterrupt != nil && compactInterrupt() {
 		st.segments = len(sealed)
 		return st, nil
@@ -303,36 +289,33 @@ func foldEvent(ck *journalEvent, ev journalEvent) {
 	}
 }
 
-// spillCheckpoint moves a checkpoint's inline payloads to the blob
-// store unconditionally: checkpoint segments stay lean (replay parses
-// a few hundred bytes per job) and terminal artifacts resolve lazily
-// on first access.
+// checkpointInlineSummary is the largest summary (JSON bytes) a
+// checkpoint keeps inline: below it a blob costs more (two fsyncs to
+// write, a file read to serve, a ref of a hundred bytes in the line)
+// than parsing the summary at replay does.
+const checkpointInlineSummary = 1 << 10
+
+// spillCheckpoint moves a checkpoint's inline summary to the blob
+// store unless it is tiny: checkpoint segments stay lean (replay parses
+// a few hundred bytes per job) and the summary resolves lazily on first
+// access. The request stays inline or spilled as its submitted event
+// left it.
 func (jl *journal) spillCheckpoint(ck *journalEvent) error {
-	if jl.blobs == nil {
+	if jl.blobs == nil || ck.Summary == nil {
 		return nil
 	}
-	if ck.Req != nil {
-		b, err := json.Marshal(ck.Req)
-		if err != nil {
-			return fmt.Errorf("service: encoding checkpoint request: %w", err)
-		}
-		ref, err := jl.blobs.Put(b)
-		if err != nil {
-			return fmt.Errorf("service: spilling checkpoint request: %w", err)
-		}
-		ck.Req, ck.ReqRef = nil, &ref
+	b, err := json.Marshal(ck.Summary)
+	if err != nil {
+		return fmt.Errorf("service: encoding checkpoint summary: %w", err)
 	}
-	if ck.Summary != nil {
-		b, err := json.Marshal(ck.Summary)
-		if err != nil {
-			return fmt.Errorf("service: encoding checkpoint summary: %w", err)
-		}
-		ref, err := jl.blobs.Put(b)
-		if err != nil {
-			return fmt.Errorf("service: spilling checkpoint summary: %w", err)
-		}
-		ck.Summary, ck.SummaryRef = nil, &ref
+	if len(b) <= checkpointInlineSummary {
+		return nil
 	}
+	ref, err := jl.blobs.Put(b)
+	if err != nil {
+		return fmt.Errorf("service: spilling checkpoint summary: %w", err)
+	}
+	ck.Summary, ck.SummaryRef = nil, &ref
 	return nil
 }
 
@@ -358,19 +341,19 @@ func (s *Service) CompactNow() error {
 		s.met.journalCompactions.Inc()
 		s.met.journalCompactionSeconds.Observe(time.Since(start).Seconds())
 	}
-	// Sweep even when nothing compacted: superseded snapshot blobs
-	// orphan on every changed checkpoint, not just at compaction.
+	// Sweep even when nothing compacted: a rollup orphans the snapshot
+	// chunks it replaces, whether or not anything was sealed since.
 	_, _, err = s.blobs.Sweep(func(hash string) bool {
 		return s.jl.hasRef(hash) || s.snapPinned(hash)
 	})
 	return err
 }
 
-// snapPinned reports whether hash is the live cache-snapshot blob.
+// snapPinned reports whether hash is a chunk of the live cache snapshot.
 func (s *Service) snapPinned(hash string) bool {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	return s.snapRef != nil && s.snapRef.SHA256 == hash
+	return slices.ContainsFunc(s.snapChunks, func(r blob.Ref) bool { return r.SHA256 == hash })
 }
 
 // compactLoop periodically compacts and sweeps, so a long-lived

@@ -122,12 +122,18 @@ func TestCompactionRewritesSealedSegments(t *testing.T) {
 	preJobs, preMax := replayJournal(events, store)
 	pre := digestJobs(t, preJobs, store)
 
+	putsBefore := store.Stats().Puts
 	st, err := jl.compact(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.segments < 3 || st.checkpointed == 0 {
 		t.Fatalf("compaction stats = %+v, want several segments and checkpoints", st)
+	}
+	// The summaries were spilled when they were journaled and the small
+	// requests stay inline in their checkpoints: nothing left to write.
+	if n := store.Stats().Puts - putsBefore; n != 0 {
+		t.Fatalf("compaction wrote %d blobs, want 0", n)
 	}
 	if n := jl.segmentCount(); n > 2 {
 		t.Fatalf("%d segments after compaction, want at most 2", n)
@@ -148,6 +154,71 @@ func TestCompactionRewritesSealedSegments(t *testing.T) {
 	}
 	if preMax != postMax {
 		t.Fatalf("maxID diverged: %d vs %d", preMax, postMax)
+	}
+	if r, err := VerifyStateDir(dir); err != nil || !r.Ok() {
+		t.Fatalf("verify after compaction: err=%v problems=%v", err, r.Problems)
+	}
+}
+
+// TestCompactionWritesOnlyLargeSummaries: a compaction beside live
+// traffic competes with it for fsyncs, so it writes a blob only where
+// that shortens replay — an inline summary above
+// checkpointInlineSummary. Requests and tiny summaries stay in the
+// checkpoint line as their raw events had them.
+func TestCompactionWritesOnlyLargeSummaries(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.Open(filepath.Join(dir, blobDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, _, err := openJournal(dir, store, 16<<10, 0) // default inline limit: both kinds journal inline
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 1; i <= n; i++ {
+		sum := ResultSummary{ScientificYield: float64(i)} // tiny
+		if i%2 == 0 {
+			sum = benchSummary(i) // ~14 KiB
+		}
+		if err := jl.append(terminalJobEvents(i, sum)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if puts := store.Stats().Puts; puts != 0 {
+		t.Fatalf("%d blobs written below the inline limit, want 0", puts)
+	}
+	if _, err := jl.compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.close(); err != nil {
+		t.Fatal(err)
+	}
+	jl2, events, err := openJournal(dir, store, 16<<10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl2.close()
+	checkpoints := 0
+	for _, ev := range events {
+		if ev.Kind != evCheckpoint {
+			continue
+		}
+		checkpoints++
+		if ev.Req == nil || ev.ReqRef != nil {
+			t.Fatalf("checkpoint %s: request was spilled", ev.Job)
+		}
+		num, _ := jobNumber(ev.Job)
+		if large := num%2 == 0; large != (ev.SummaryRef != nil) || large == (ev.Summary != nil) {
+			t.Fatalf("checkpoint %s: summary inline=%v ref=%v, want large summaries spilled and tiny ones inline",
+				ev.Job, ev.Summary != nil, ev.SummaryRef != nil)
+		}
+	}
+	if checkpoints == 0 {
+		t.Fatal("nothing was compacted; the test needs sealed segments")
+	}
+	if puts := store.Stats().Puts; puts == 0 || puts > n/2 {
+		t.Fatalf("compaction wrote %d blobs, want one per large summary it checkpointed (at most %d)", puts, n/2)
 	}
 	if r, err := VerifyStateDir(dir); err != nil || !r.Ok() {
 		t.Fatalf("verify after compaction: err=%v problems=%v", err, r.Problems)
@@ -216,7 +287,7 @@ func TestCompactionHonorsRetention(t *testing.T) {
 			}
 		}
 	}
-	if st := store.Stats(); st.Objects > int64(2*len(jobs)) {
+	if st := store.Stats(); st.Objects > int64(len(jobs)) {
 		t.Fatalf("sweep left %d objects for %d retained jobs", st.Objects, len(jobs))
 	}
 }

@@ -62,11 +62,11 @@ func (c *FeatureCache) shardForID(id uint64) *featShard {
 // caching it on first use. The returned slice is shared and must be
 // treated as read-only (the surrogate copies it into its input matrix).
 func (c *FeatureCache) Features(id uint64) []float64 {
-	if v, ok := c.Lookup(id); ok {
+	if v, ok := c.lookup(id); ok {
 		return v
 	}
 	v := chem.FromID(id).FeatureVector()
-	c.Insert(id, v)
+	c.store(id, v)
 	return v
 }
 
@@ -77,19 +77,17 @@ func (c *FeatureCache) Features(id uint64) []float64 {
 // shared cached slice. Counter semantics match Features exactly: one
 // hit or one miss per call, every miss stores (Puts == Misses).
 func (c *FeatureCache) FeaturesInto(dst []float64, id uint64) {
-	if v, ok := c.Lookup(id); ok {
+	if v, ok := c.lookup(id); ok {
 		copy(dst, v)
 		return
 	}
 	chem.FromID(id).FeatureVectorInto(dst)
-	c.Insert(id, append([]float64(nil), dst...))
+	c.store(id, append([]float64(nil), dst...))
 }
 
-// Lookup returns the cached vector for the molecule ID without
-// computing on a miss (counted as a hit/miss like Features). Remote
-// workers use it to tell which vectors a run computed fresh — the
-// feature-cache delta shipped back to the coordinator.
-func (c *FeatureCache) Lookup(id uint64) ([]float64, bool) {
+// lookup returns the cached vector for the molecule ID, counting one
+// hit or one miss.
+func (c *FeatureCache) lookup(id uint64) ([]float64, bool) {
 	s := c.shardForID(id)
 	s.mu.RLock()
 	v, ok := s.m[id]
@@ -102,14 +100,9 @@ func (c *FeatureCache) Lookup(id uint64) ([]float64, bool) {
 	return v, ok
 }
 
-// Insert stores a computed vector under the capacity bound; the
-// write half of Lookup.
-func (c *FeatureCache) Insert(id uint64, v []float64) {
-	c.store(c.shardForID(id), id, v)
-}
-
 // store inserts one vector under the capacity bound.
-func (c *FeatureCache) store(s *featShard, id uint64, v []float64) {
+func (c *FeatureCache) store(id uint64, v []float64) {
+	s := c.shardForID(id)
 	s.mu.Lock()
 	if _, exists := s.m[id]; !exists && c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
 		for victim := range s.m {
@@ -122,36 +115,14 @@ func (c *FeatureCache) store(s *featShard, id uint64, v []float64) {
 	s.mu.Unlock()
 }
 
-// FeatureEntry is one exported feature-cache record. Vectors are
-// recomputable from the ID (materialization is deterministic), so the
-// snapshot is strictly an optimization: restoring it spares a restarted
-// service the recompute, not the correctness.
+// FeatureEntry is one feature-cache record as older workers shipped it
+// with a completion. Vectors are recomputable from the ID
+// (materialization is deterministic) for less than decoding one costs,
+// so nothing ships, merges or persists them any more; the type remains
+// so such a completion still decodes (see WorkerResult.Features).
 type FeatureEntry struct {
 	ID  uint64
 	Vec []float64
-}
-
-// Export snapshots every cached feature vector, shard by shard under
-// the read locks (per-shard-consistent, like ScoreCache.Export).
-func (c *FeatureCache) Export() []FeatureEntry {
-	var out []FeatureEntry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for id, v := range s.m {
-			out = append(out, FeatureEntry{ID: id, Vec: append([]float64(nil), v...)})
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
-
-// Import merges previously exported entries, respecting the capacity
-// bound. Imported entries count as neither hits nor misses.
-func (c *FeatureCache) Import(entries []FeatureEntry) {
-	for _, e := range entries {
-		c.store(c.shardForID(e.ID), e.ID, append([]float64(nil), e.Vec...))
-	}
 }
 
 // ShardStats snapshots every shard's counters, in shard order.

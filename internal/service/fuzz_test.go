@@ -1,10 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"impeccable/internal/blob"
 	"impeccable/internal/chem"
 	"impeccable/internal/dock"
 )
@@ -167,6 +173,83 @@ func FuzzFeatureCache(f *testing.F) {
 		if maxEntries > 0 {
 			if bound := scoreCacheBound(shards, maxEntries); st.Entries > bound {
 				t.Errorf("entries %d exceed capacity bound %d", st.Entries, bound)
+			}
+		}
+	})
+}
+
+// memStore is a blob.Store over a map, so a fuzz execution costs no
+// fsync. Only Put and Get are ever called on it.
+type memStore map[string][]byte
+
+func (m memStore) Put(data []byte) (blob.Ref, error) {
+	ref := blob.Ref{SHA256: blob.SumHex(data), Size: int64(len(data))}
+	m[ref.SHA256] = data
+	return ref, nil
+}
+
+func (m memStore) Get(ref blob.Ref) ([]byte, error) {
+	data, ok := m[ref.SHA256]
+	if !ok || int64(len(data)) != ref.Size {
+		return nil, os.ErrNotExist
+	}
+	return data, nil
+}
+
+func (m memStore) Has(hash string) bool { _, ok := m[hash]; return ok }
+func (m memStore) Delete(string) error  { return nil }
+func (m memStore) Stats() blob.Stats    { return blob.Stats{} }
+func (m memStore) Sweep(func(string) bool) (int, int64, error) {
+	return 0, 0, nil
+}
+
+// FuzzLoadSnapshot feeds loadSnapshot bytes this process did not write:
+// an arbitrary caches.snap, and an arbitrary chunk payload behind a
+// well-formed manifest of either generation (or raw at the manifest
+// path, the oldest format). Whatever the bytes, the load must not
+// panic, must not return an error (which would fail Open — a bad
+// checkpoint is a cold start), and must not import an entry that has
+// no target.
+func FuzzLoadSnapshot(f *testing.F) {
+	chunk := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good := []ScoreEntry{{Target: "PLPro", FP: chem.FromID(1).FP(), Result: dock.Result{MolID: 1, Score: -1, Genome: []float64{1}}}}
+	f.Add([]byte(`{"chunks":[],"saved_at":"2024-01-01T00:00:00Z"}`), []byte{}, uint8(0))
+	f.Add([]byte(`{"chunks":[{"sha256":"zz","size":-1}],"blob":{"sha256":"","size":0}}`), []byte("not gob"), uint8(0))
+	f.Add([]byte(`null`), chunk(cacheSnapshot{Scores: good}), uint8(1))
+	f.Add([]byte(`[1,2`), chunk(cacheSnapshot{Scores: append([]ScoreEntry{{Target: ""}}, good...)}), uint8(1))
+	f.Add([]byte{}, chunk(struct {
+		Scores   []ScoreEntry
+		Features []FeatureEntry
+	}{good, []FeatureEntry{{ID: 1, Vec: []float64{1, 2}}}}), uint8(2))
+	f.Add([]byte{}, chunk(cacheSnapshot{Scores: good}), uint8(3))
+	f.Fuzz(func(t *testing.T, manifest, payload []byte, mode uint8) {
+		dir := t.TempDir()
+		store := memStore{}
+		ref, _ := store.Put(payload)
+		switch mode % 4 {
+		case 1:
+			manifest, _ = json.Marshal(snapshotManifest{Chunks: []blob.Ref{ref, ref}})
+		case 2:
+			manifest, _ = json.Marshal(snapshotManifest{Blob: &ref})
+		case 3:
+			manifest = payload
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		scores := NewScoreCache(4, 0)
+		if _, _, err := loadSnapshot(dir, store, scores); err != nil {
+			t.Fatalf("loadSnapshot failed the open: %v", err)
+		}
+		for _, e := range scores.Export() {
+			if e.Target == "" {
+				t.Fatalf("imported an entry without a target: %+v", e)
 			}
 		}
 	})

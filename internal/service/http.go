@@ -342,10 +342,11 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxCompleteBody bounds a worker's complete payload: a ResultSummary
-// plus the run's score/feature-cache deltas. Workers cap each delta at
-// 50k entries (~40 MB of JSON apiece at the largest genome/feature
-// shapes), so the bound leaves headroom above the worst legitimate
-// payload rather than rejecting a finished multi-minute run.
+// plus the run's score-cache delta. Workers cap the delta at 50k
+// entries (~40 MB of JSON at the largest genome shapes), so the bound
+// leaves headroom above the worst legitimate payload — older workers
+// also shipped as many feature vectors — rather than rejecting a
+// finished multi-minute run.
 const maxCompleteBody = 128 << 20
 
 // Field strictness for decodeBody. Tenant-facing submissions reject

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"impeccable/internal/dock"
 )
 
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
@@ -534,14 +536,35 @@ func TestHTTPWorkerEndpointErrors(t *testing.T) {
 		map[string]any{"worker_id": "w1", "token": grant.Token, "job_id": id, "stage": "s1-dock", "progress": 0.5}, &hb); code != http.StatusOK {
 		t.Fatalf("holder heartbeat = %d", code)
 	}
+	// Its delta is merged only where it belongs: entries under another
+	// target than the job's (served here or not) and entries without a
+	// pose are dropped without failing the completion, and feature
+	// vectors — older workers shipped them — are accepted and ignored.
+	delta := []ScoreEntry{
+		{Target: "PLPro", FP: molForTest(1).FP(), Result: mockResult(1)},
+		{Target: "3CLPro", FP: molForTest(2).FP(), Result: mockResult(2)},
+		{Target: "no-such-target", FP: molForTest(3).FP(), Result: mockResult(3)},
+		{Target: "", FP: molForTest(4).FP(), Result: mockResult(4)},
+		{Target: "PLPro", FP: molForTest(5).FP(), Result: dock.Result{MolID: 5, Score: -5}},
+	}
 	var snap JobSnapshot
 	if code := doJSON(t, "POST", srv.URL+"/api/v1/worker/complete",
 		map[string]any{"worker_id": "w1", "token": grant.Token, "job_id": id,
-			"summary": ResultSummary{ScientificYield: 0.5}}, &snap); code != http.StatusOK {
+			"summary": ResultSummary{ScientificYield: 0.5}, "scores": delta,
+			"features": []FeatureEntry{{ID: 1, Vec: []float64{1, 2, 3}}}}, &snap); code != http.StatusOK {
 		t.Fatalf("holder complete = %d", code)
 	}
 	if snap.State != StateDone || snap.Worker != "w1" {
 		t.Fatalf("completed snapshot = %+v", snap)
+	}
+	if st := s.ScoreCacheStats(); st.Entries != 1 {
+		t.Fatalf("score cache holds %d entries after the merge, want only the job's own target's 1", st.Entries)
+	}
+	if _, ok := s.ScoreCacheForTarget("PLPro").Get(molForTest(1)); !ok {
+		t.Fatal("the valid delta entry was not merged")
+	}
+	if st := s.FeatureCacheStats(); st.Entries != 0 {
+		t.Fatalf("shipped feature vectors landed in the feature cache: %+v", st)
 	}
 	// A complete that names no outcome is a 400.
 	id2, _ := s.Submit(smallReq())

@@ -1,7 +1,7 @@
 // Crash-safe persistence for the campaign service: a segmented
 // write-ahead journal of job lifecycle events, a content-addressed
-// blob store for large payloads, and periodic snapshots of the sharded
-// score and feature caches. The journal is the source of truth for job
+// blob store for large payloads, and delta-chunk checkpoints of the
+// sharded score cache. The journal is the source of truth for job
 // state across restarts (in the event-sourced style of replayable
 // execution records); the cache snapshot is a pure optimization that
 // keeps a restarted service's docking warm. Everything lives under
@@ -11,9 +11,10 @@
 //	                                 per batch; rotated at SegmentBytes,
 //	                                 sealed segments compact away
 //	<state-dir>/blobs/               content-addressed artifacts (spilled
-//	                                 requests, result ledgers, snapshots)
-//	<state-dir>/caches.snap          JSON manifest {sha256,size} naming
-//	                                 the current cache-checkpoint blob
+//	                                 requests, result ledgers, snapshot
+//	                                 chunks)
+//	<state-dir>/caches.snap          JSON manifest naming the chunks of
+//	                                 the current cache checkpoint
 //
 // Three mechanisms keep replay and disk usage scaling with live work
 // instead of lifetime history:
@@ -53,6 +54,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -865,30 +867,46 @@ func replayJournal(events []journalEvent, blobs blob.Store) (jobs []*job, maxID 
 	return jobs, maxID
 }
 
-// cacheSnapshot is the gob-encoded checkpoint of both shared caches.
+// cacheSnapshot is the gob payload of one checkpoint chunk: score-cache
+// entries sorted by key. Blobs written by older builds also carry a
+// Features field, which gob skips on decode.
 type cacheSnapshot struct {
-	Scores   []ScoreEntry
-	Features []FeatureEntry
+	Scores []ScoreEntry
 }
 
-// snapshotManifest is what caches.snap holds now: the ref of the
-// gob-encoded checkpoint blob. Keeping the (small) manifest at a fixed
-// name and the (large) payload content-addressed means an unchanged
-// cache costs nothing to re-checkpoint — same bytes, same hash, same
-// blob.
+// snapshotManifest is what caches.snap holds: the refs of the chunks
+// that together are the checkpoint, oldest first (a later chunk's entry
+// overwrites an earlier one's). Each checkpoint appends one chunk
+// holding only the entries stored since the previous one; past
+// maxSnapshotChunks the whole cache is rolled up into a single base
+// chunk. Blob is the earlier single-blob manifest, read as a
+// one-element Chunks.
 type snapshotManifest struct {
-	Blob    blob.Ref  `json:"blob"`
-	SavedAt time.Time `json:"saved_at"`
+	Chunks  []blob.Ref `json:"chunks"`
+	Blob    *blob.Ref  `json:"blob,omitempty"`
+	SavedAt time.Time  `json:"saved_at"`
 }
 
-// encodeSnapshot gob-encodes the caches deterministically: exports are
-// walked shard by shard in whatever order the maps yield, so both
-// slices are sorted before encoding — identical cache content must
-// produce identical bytes for the content-addressed dedupe to work.
-func encodeSnapshot(scores *ScoreCache, features *FeatureCache) ([]byte, error) {
-	snap := cacheSnapshot{Scores: scores.Export(), Features: features.Export()}
-	sort.Slice(snap.Scores, func(i, k int) bool {
-		a, b := &snap.Scores[i], &snap.Scores[k]
+// chunks lists every blob the manifest names, whichever generation
+// wrote it.
+func (mf snapshotManifest) chunks() []blob.Ref {
+	if mf.Blob != nil {
+		return append(mf.Chunks, *mf.Blob)
+	}
+	return mf.Chunks
+}
+
+// maxSnapshotChunks bounds the manifest: the checkpoint that would add
+// one chunk more writes the rollup instead.
+const maxSnapshotChunks = 16
+
+// saveSnapshot writes entries as one sorted gob chunk into the blob
+// store and atomically installs a manifest naming prev plus that chunk,
+// so a crash mid-checkpoint leaves the previous manifest intact.
+// Returns the new chunk list.
+func saveSnapshot(dir string, store blob.Store, entries []ScoreEntry, prev []blob.Ref) ([]blob.Ref, error) {
+	sort.Slice(entries, func(i, k int) bool {
+		a, b := &entries[i], &entries[k]
 		if a.Target != b.Target {
 			return a.Target < b.Target
 		}
@@ -899,98 +917,89 @@ func encodeSnapshot(scores *ScoreCache, features *FeatureCache) ([]byte, error) 
 		}
 		return false
 	})
-	sort.Slice(snap.Features, func(i, k int) bool {
-		return snap.Features[i].ID < snap.Features[k].ID
-	})
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(cacheSnapshot{Scores: entries}); err != nil {
 		return nil, fmt.Errorf("service: encoding cache snapshot: %w", err)
 	}
-	return buf.Bytes(), nil
+	ref, err := store.Put(buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("service: storing cache snapshot: %w", err)
+	}
+	chunks := append(prev[:len(prev):len(prev)], ref)
+	mf, err := json.Marshal(snapshotManifest{Chunks: chunks, SavedAt: time.Now()})
+	if err != nil {
+		return nil, fmt.Errorf("service: encoding snapshot manifest: %w", err)
+	}
+	if err := installFile(dir, snapshotName, mf); err != nil {
+		return nil, fmt.Errorf("service: snapshot manifest: %w", err)
+	}
+	return chunks, nil
 }
 
-// saveSnapshot checkpoints both caches: the gob payload goes to the
-// blob store, and the manifest naming it is written atomically (temp
-// file then rename), so a crash mid-snapshot leaves the previous
-// checkpoint intact. Returns the payload's ref and whether the write
-// was skipped because the cache content had not changed since prev.
-func saveSnapshot(dir string, store blob.Store, scores *ScoreCache, features *FeatureCache, prev *blob.Ref) (blob.Ref, bool, error) {
-	data, err := encodeSnapshot(scores, features)
+// installFile atomically replaces dir/name with data: temp file, fsync,
+// rename, directory fsync. A crash leaves either the old file or the
+// new one (the temp is swept on open).
+func installFile(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+"-*.tmp")
 	if err != nil {
-		return blob.Ref{}, false, err
+		return err
 	}
-	if prev != nil && prev.SHA256 == blob.SumHex(data) {
-		return *prev, true, nil
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	ref, err := store.Put(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
 	if err != nil {
-		return blob.Ref{}, false, fmt.Errorf("service: storing cache snapshot: %w", err)
-	}
-	mf, err := json.Marshal(snapshotManifest{Blob: ref, SavedAt: time.Now()})
-	if err != nil {
-		return blob.Ref{}, false, fmt.Errorf("service: encoding snapshot manifest: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, snapshotName+"-*.tmp")
-	if err != nil {
-		return blob.Ref{}, false, fmt.Errorf("service: creating snapshot temp file: %w", err)
-	}
-	if _, err := tmp.Write(mf); err != nil {
-		tmp.Close()
 		os.Remove(tmp.Name())
-		return blob.Ref{}, false, fmt.Errorf("service: writing snapshot manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return blob.Ref{}, false, fmt.Errorf("service: syncing snapshot manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return blob.Ref{}, false, fmt.Errorf("service: closing snapshot manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, snapshotName)); err != nil {
-		os.Remove(tmp.Name())
-		return blob.Ref{}, false, fmt.Errorf("service: installing snapshot manifest: %w", err)
+		return err
 	}
 	syncDir(dir)
-	return ref, false, nil
+	return nil
 }
 
-// loadSnapshot imports a previously saved checkpoint into the caches,
-// returning the ref of the live snapshot blob (nil when there is
-// none). A missing snapshot is a cold start, not an error; an
-// unreadable manifest, blob or legacy file is also tolerated (the
-// caches refill from real work) — durable job state lives in the
-// journal, never here. Pre-manifest snapshots (raw gob at the manifest
-// path) still load, so old state dirs stay warm across the upgrade.
-func loadSnapshot(dir string, store blob.Store, scores *ScoreCache, features *FeatureCache) (*blob.Ref, error) {
+// loadSnapshot imports a previously saved checkpoint into the score
+// cache, chunk by chunk in manifest order (call it before the cache
+// tracks dirty keys). It returns the chunks the manifest names (the GC pins)
+// and whether the next checkpoint must roll the cache up whatever the
+// dirty set holds: the state dir is in an older format (single-blob
+// manifest, or the raw gob at the manifest path), or a chunk did not
+// load. A missing snapshot is a cold start, not an error; an unreadable
+// manifest, chunk or legacy file is tolerated too (the cache refills
+// from real work) — durable job state lives in the journal, never
+// here. Entries without a target are dropped: nothing can read them.
+func loadSnapshot(dir string, store blob.Store, scores *ScoreCache) (chunks []blob.Ref, rollup bool, err error) {
 	raw, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("service: opening cache snapshot: %w", err)
+		return nil, false, fmt.Errorf("service: opening cache snapshot: %w", err)
 	}
-	var snap cacheSnapshot
+	load := func(data []byte) bool {
+		var snap cacheSnapshot
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&snap) != nil {
+			return false
+		}
+		scores.Import(slices.DeleteFunc(snap.Scores, func(e ScoreEntry) bool { return e.Target == "" }))
+		return true
+	}
 	var mf snapshotManifest
-	if err := json.Unmarshal(raw, &mf); err == nil && mf.Blob.SHA256 != "" {
-		data, err := store.Get(mf.Blob)
-		if err != nil {
-			return nil, nil // missing or corrupt blob: start cold
-		}
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-			return nil, nil
-		}
-		scores.Import(snap.Scores)
-		features.Import(snap.Features)
-		ref := mf.Blob
-		return &ref, nil
+	if json.Unmarshal(raw, &mf) != nil {
+		// Pre-manifest format: the snapshot itself at the fixed path. A
+		// torn one starts cold.
+		return nil, load(raw), nil
 	}
-	// Legacy format: the snapshot itself, gob-encoded at the fixed path.
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		return nil, nil // torn snapshot: start cold
+	rollup = mf.Blob != nil
+	for _, ref := range mf.chunks() {
+		data, err := store.Get(ref)
+		if err != nil || !load(data) {
+			rollup = true // cold for this chunk only
+		}
 	}
-	scores.Import(snap.Scores)
-	features.Import(snap.Features)
-	return nil, nil
+	return mf.chunks(), rollup, nil
 }

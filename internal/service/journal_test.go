@@ -97,6 +97,11 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The checkpoint trails the completion; make it land before the crash
+	// (TestCrashBeforeCheckpoint covers the other order).
+	if err := s1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 
 	// B and C are identical submissions; B is leased by the one
 	// in-process worker, C stays queued. Then the process "dies".
@@ -160,8 +165,8 @@ func TestRestartRecovery(t *testing.T) {
 
 	// B (interrupted while running) and C (interrupted while queued)
 	// rerun under their original IDs to byte-identical science — and,
-	// because the cache checkpoint from A's completion was restored,
-	// with zero docking evaluations.
+	// because the cache checkpoint taken after A was restored, with zero
+	// docking evaluations.
 	for _, id := range []string{idB, idC} {
 		snap, err := s2.Wait(id, 5*time.Minute)
 		if err != nil {
@@ -499,8 +504,8 @@ func bytesIndex(b []byte, c byte) int {
 	return -1
 }
 
-// TestSnapshotRoundTrip checkpoints warm caches through the blob store
-// and restores them into cold ones.
+// TestSnapshotRoundTrip writes a base chunk and a delta chunk through
+// the blob store and restores both into a cold cache.
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	store, err := blob.Open(filepath.Join(dir, blobDirName))
@@ -508,50 +513,53 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	scores := NewScoreCache(4, 0)
-	features := NewFeatureCache(4, 0)
+	scores.trackDirty()
 	view := scores.ForTarget("PLPro")
 	for id := uint64(1); id <= 20; id++ {
 		view.Put(molForTest(id), mockResult(id))
-		features.Features(id)
 	}
-	ref, skipped, err := saveSnapshot(dir, store, scores, features, nil)
+	chunks, err := saveSnapshot(dir, store, scores.takeDirty(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped {
-		t.Fatal("first snapshot reported as skipped")
+	if len(chunks) != 1 {
+		t.Fatalf("first checkpoint left %d chunks, want 1", len(chunks))
 	}
-	// An unchanged cache dedupes against the previous checkpoint: same
-	// bytes, same hash, no new write.
-	ref2, skipped, err := saveSnapshot(dir, store, scores, features, &ref)
-	if err != nil {
+	// Only what was stored since goes into the next chunk; a re-Put of an
+	// identical result is not a change.
+	view.Put(molForTest(3), mockResult(3))
+	for id := uint64(21); id <= 25; id++ {
+		view.Put(molForTest(id), mockResult(id))
+	}
+	delta := scores.takeDirty()
+	if len(delta) != 5 {
+		t.Fatalf("delta holds %d entries, want the 5 new ones", len(delta))
+	}
+	if chunks, err = saveSnapshot(dir, store, delta, chunks); err != nil {
 		t.Fatal(err)
 	}
-	if !skipped || ref2 != ref {
-		t.Fatalf("unchanged re-checkpoint: skipped=%v ref=%v want %v", skipped, ref2, ref)
+	if len(chunks) != 2 || chunks[1].Size >= chunks[0].Size {
+		t.Fatalf("chunks after the delta = %+v, want a base and a smaller delta", chunks)
 	}
+
 	scores2 := NewScoreCache(8, 0) // different shard width on purpose
-	features2 := NewFeatureCache(8, 0)
-	got, err := loadSnapshot(dir, store, scores2, features2)
+	got, rollup, err := loadSnapshot(dir, store, scores2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.SHA256 != ref.SHA256 {
-		t.Fatalf("loadSnapshot ref = %v, want %v", got, ref)
+	if rollup || !reflect.DeepEqual(got, chunks) {
+		t.Fatalf("loadSnapshot = %+v (rollup %v), want %+v", got, rollup, chunks)
 	}
 	if scores2.Len() != scores.Len() {
 		t.Fatalf("restored %d score entries, want %d", scores2.Len(), scores.Len())
 	}
 	view2 := scores2.ForTarget("PLPro")
-	for id := uint64(1); id <= 20; id++ {
+	for id := uint64(1); id <= 25; id++ {
 		r, ok := view2.Get(molForTest(id))
 		want := mockResult(id)
 		if !ok || r.Score != want.Score || len(r.Genome) != len(want.Genome) {
 			t.Fatalf("restored entry %d = %+v ok=%v", id, r, ok)
 		}
-	}
-	if st := features2.Stats(); st.Entries != 20 {
-		t.Fatalf("restored %d feature entries, want 20", st.Entries)
 	}
 	// Missing snapshot dir: cold start, not an error.
 	cold := t.TempDir()
@@ -559,7 +567,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref, err := loadSnapshot(cold, coldStore, NewScoreCache(2, 0), NewFeatureCache(2, 0)); err != nil || ref != nil {
-		t.Fatalf("cold start: ref=%v err=%v", ref, err)
+	if got, rollup, err := loadSnapshot(cold, coldStore, NewScoreCache(2, 0)); err != nil || got != nil || rollup {
+		t.Fatalf("cold start: chunks=%v rollup=%v err=%v", got, rollup, err)
 	}
 }

@@ -137,8 +137,9 @@ type verifyChain struct {
 // from its predecessor and canonical JSON, every sealed root and
 // checkpoint root equals the Merkle root of its leaves, a sampled
 // inclusion proof per sealed job verifies, every blob ref resolves to
-// bytes matching its hash, and the cache-snapshot manifest names a
-// readable blob. Used by cmd/impeccable-verify and the crash tests.
+// bytes matching its hash, and every chunk the cache-snapshot manifest
+// names is a readable blob. Used by cmd/impeccable-verify and the crash
+// tests.
 func VerifyStateDir(dir string) (*VerifyReport, error) {
 	events, err := readJournal(dir)
 	if err != nil {
@@ -270,13 +271,15 @@ func VerifyStateDir(dir string) (*VerifyReport, error) {
 	}
 	r.Jobs = len(chains)
 	r.Blobs = len(checkedBlobs)
-	// The cache snapshot rides the same store: its manifest must name a
-	// readable, hash-clean blob.
+	// The cache snapshot rides the same store: every chunk its manifest
+	// names must be a readable, hash-clean blob.
 	if raw, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
 		var mf snapshotManifest
-		if json.Unmarshal(raw, &mf) == nil && mf.Blob.SHA256 != "" {
-			if _, err := store.Get(mf.Blob); err != nil {
-				badf("cache snapshot: %v", err)
+		if json.Unmarshal(raw, &mf) == nil {
+			for _, ref := range mf.chunks() {
+				if _, err := store.Get(ref); err != nil {
+					badf("cache snapshot chunk: %v", err)
+				}
 			}
 		}
 	}

@@ -109,6 +109,9 @@ func TestSegmentedRestartRecovery(t *testing.T) {
 		}
 		preSums[d.id] = sum
 	}
+	if err := s1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 	crash(s1)
 
 	s2, err := Open(opts)
@@ -140,6 +143,9 @@ func TestSegmentedRestartRecovery(t *testing.T) {
 	}
 	if _, err := s2.Wait(id, 5*time.Minute); err != nil {
 		t.Fatal(err)
+	}
+	if sum, err := s2.Result(id); err != nil || sum.Funnel.DockEvals != 0 {
+		t.Fatalf("resubmit against the restored checkpoint: %d dock evals, %v", sum.Funnel.DockEvals, err)
 	}
 
 	report, err := VerifyStateDir(dir)

@@ -1174,17 +1174,6 @@ func (s *scheduler) retainedIDs() map[string]struct{} {
 	return out
 }
 
-// jobsInOrder returns every job in submission order.
-func (s *scheduler) jobsInOrder() []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
-	}
-	return out
-}
-
 // list snapshots every job in submission order.
 func (s *scheduler) list() []JobSnapshot { return s.listFiltered(JobQuery{}) }
 

@@ -48,8 +48,8 @@ type Options struct {
 	// lifecycle events are written ahead to segmented
 	// <StateDir>/journal-<seq>.jsonl files (fsynced per batch), large
 	// payloads spill to the content-addressed <StateDir>/blobs store,
-	// and the score/feature caches are periodically checkpointed via
-	// the <StateDir>/caches.snap manifest. Open replays the journal:
+	// and the score cache is checkpointed in delta chunks named by the
+	// <StateDir>/caches.snap manifest. Open replays the journal:
 	// terminal jobs are served from their persisted summaries, and jobs
 	// that were queued or held by an in-process worker at crash time are
 	// re-enqueued under their original IDs (Seed and LibOffset
@@ -57,8 +57,12 @@ type Options struct {
 	// Empty = in-memory only.
 	StateDir string
 	// SnapshotEvery is the cadence of the periodic cache checkpoint
-	// when StateDir is set; 0 means 30s. A checkpoint is also taken
-	// after every job that reaches a terminal state and at Shutdown.
+	// when StateDir is set; 0 means 30s. The checkpoint writer is also
+	// woken, off the ack path, by a completion that brought new docking
+	// results, and Shutdown ends with one synchronous checkpoint. Each
+	// checkpoint writes only the entries stored since the last; a crash
+	// loses at most that tail, which costs re-docking, never different
+	// science.
 	SnapshotEvery time.Duration
 	// SegmentBytes is the journal's rotation threshold: the active
 	// journal-<seq>.jsonl segment seals once it would exceed this many
@@ -141,14 +145,19 @@ type Service struct {
 	limiter    *tenantLimiter // per-tenant submit token buckets
 
 	// Persistence (zero-valued when Options.StateDir is empty).
-	stateDir string
-	jl       *journal
-	blobs    blob.Store
-	snapMu   sync.Mutex    // serializes checkpoint writers; guards snapRef
-	snapRef  *blob.Ref     // the live cache-snapshot blob (GC pin)
-	snapStop chan struct{} // stops the snapshot and compaction loops
-	snapWG   sync.WaitGroup
-	stopOnce sync.Once // persistence teardown runs once
+	stateDir   string
+	jl         *journal
+	blobs      blob.Store
+	snapMu     sync.Mutex    // serializes checkpoint writers; guards snapChunks, snapRollup
+	snapChunks []blob.Ref    // the chunks the live manifest names (GC pins)
+	snapRollup bool          // the next checkpoint rewrites the whole cache
+	snapPoke   chan struct{} // wakes snapshotLoop: a completion stored something
+	snapStop   chan struct{} // stops the snapshot and compaction loops
+	snapWG     sync.WaitGroup
+	stopOnce   sync.Once // persistence teardown runs once
+
+	fullMu  sync.Mutex
+	fullIDs []string // jobs holding a full in-memory result, oldest first
 }
 
 // SubmitRequest describes one campaign submission. Zero-valued fields
@@ -242,6 +251,7 @@ func Open(opts Options) (*Service, error) {
 		met:        newMetrics(),
 		logf:       opts.Logf,
 		stateDir:   opts.StateDir,
+		snapPoke:   make(chan struct{}, 1),
 		snapStop:   make(chan struct{}),
 	}
 	for _, t := range targets {
@@ -292,9 +302,10 @@ func Open(opts Options) (*Service, error) {
 		if s.jl, events, err = openJournal(s.stateDir, blobs, opts.SegmentBytes, opts.InlineLimit); err != nil {
 			return nil, err
 		}
-		if s.snapRef, err = loadSnapshot(s.stateDir, blobs, s.scores, s.features); err != nil {
+		if s.snapChunks, s.snapRollup, err = loadSnapshot(s.stateDir, blobs, s.scores); err != nil {
 			return nil, err
 		}
+		s.scores.trackDirty() // from here on: what the load restored is on disk already
 		replayed, maxID = replayJournal(events, blobs)
 		s.jl.onAppend = func(events, bytes int, fsync time.Duration) {
 			s.met.journalAppends.Add(float64(events))
@@ -333,8 +344,10 @@ func Open(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// snapshotLoop periodically checkpoints the caches so that even a
-// mid-campaign crash keeps most of the accumulated docking labels.
+// snapshotLoop is the only periodic checkpoint writer: it wakes on its
+// ticker (so a mid-campaign crash keeps most of an in-process run's
+// docking labels) or on a poke from complete, and a burst of pokes
+// during one checkpoint coalesces into the next.
 func (s *Service) snapshotLoop(every time.Duration) {
 	defer s.snapWG.Done()
 	t := time.NewTicker(every)
@@ -342,17 +355,21 @@ func (s *Service) snapshotLoop(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			_ = s.Snapshot()
+		case <-s.snapPoke:
 		case <-s.snapStop:
 			return
 		}
+		_ = s.Snapshot()
 	}
 }
 
-// Snapshot checkpoints the score and feature caches: the gob payload
-// goes to the content-addressed blob store and a small manifest naming
-// it is installed atomically (temp file + rename). An unchanged cache
-// dedupes to the existing blob and skips the write entirely. A no-op
+// Snapshot checkpoints the score cache synchronously: the entries
+// stored since the last checkpoint go to the content-addressed blob
+// store as one chunk, and the manifest naming every live chunk is
+// installed atomically. Nothing stored means nothing encoded, hashed or
+// written. Past maxSnapshotChunks (or on a state dir in an older
+// format) the whole cache is rolled up into one base chunk instead. A
+// failed write puts the entries back for the next checkpoint. A no-op
 // without a StateDir.
 func (s *Service) Snapshot() error {
 	if s.stateDir == "" {
@@ -360,16 +377,24 @@ func (s *Service) Snapshot() error {
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	start := time.Now()
-	ref, skipped, err := saveSnapshot(s.stateDir, s.blobs, s.scores, s.features, s.snapRef)
-	if err == nil {
-		s.snapRef = &ref
-		if !skipped {
-			s.met.snapshots.Inc()
-			s.met.snapshotSeconds.Observe(time.Since(start).Seconds())
-		}
+	delta := s.scores.takeDirty()
+	if len(delta) == 0 && !s.snapRollup {
+		return nil
 	}
-	return err
+	start := time.Now()
+	entries, prev := delta, s.snapChunks
+	if s.snapRollup || len(prev) >= maxSnapshotChunks {
+		entries, prev = s.scores.Export(), nil
+	}
+	chunks, err := saveSnapshot(s.stateDir, s.blobs, entries, prev)
+	if err != nil {
+		s.scores.markDirty(delta)
+		return err
+	}
+	s.snapChunks, s.snapRollup = chunks, false
+	s.met.snapshots.Inc()
+	s.met.snapshotSeconds.Observe(time.Since(start).Seconds())
+	return nil
 }
 
 // Targets lists the receptor names the service accepts.
@@ -580,27 +605,28 @@ func (s *Service) runLease(id string, g *LeaseGrant) {
 	_ = s.complete(id, g.Token, g.JobID, out, res)
 }
 
-// trimResults releases the full campaign results of the oldest done
-// jobs beyond the retention bound. Summaries (what the HTTP API serves)
-// are kept for every job; only the heavyweight in-memory results go.
-func (s *Service) trimResults() {
+// retainFull notes that the job now holds a full campaign result and
+// releases the oldest ones beyond the retention bound. Summaries (what
+// the HTTP API serves) are kept for every job; only the heavyweight
+// in-memory results go.
+func (s *Service) retainFull(id string) {
 	if s.maxResults < 0 {
 		return
 	}
-	var withFull []*job
-	for _, j := range s.sched.jobsInOrder() {
-		j.mu.Lock()
-		if j.result != nil && j.result.full != nil {
-			withFull = append(withFull, j)
+	s.fullMu.Lock()
+	s.fullIDs = append(s.fullIDs, id)
+	n := max(0, len(s.fullIDs)-s.maxResults)
+	release := s.fullIDs[:n]
+	s.fullIDs = s.fullIDs[n:]
+	s.fullMu.Unlock()
+	for _, id := range release {
+		if j, ok := s.sched.get(id); ok { // not pruned meanwhile
+			j.mu.Lock()
+			if j.result != nil {
+				j.result.full = nil
+			}
+			j.mu.Unlock()
 		}
-		j.mu.Unlock()
-	}
-	for _, j := range withFull[:max(0, len(withFull)-s.maxResults)] {
-		j.mu.Lock()
-		if j.result != nil {
-			j.result.full = nil
-		}
-		j.mu.Unlock()
 	}
 }
 
@@ -654,7 +680,9 @@ func (s *Service) Heartbeat(workerID, token, jobID, stage string, progress float
 
 // WorkerResult is the outcome a worker posts back for a leased job:
 // exactly one of Summary (success), Error (failure) or Canceled, plus
-// the score/feature-cache deltas the run produced.
+// the score-cache delta the run produced. Features is accepted on the
+// wire for older workers and ignored: a feature vector is cheaper to
+// recompute from its ID than to decode.
 type WorkerResult struct {
 	Summary  *ResultSummary `json:"summary,omitempty"`
 	Error    string         `json:"error,omitempty"`
@@ -679,11 +707,12 @@ type WorkerRunStats struct {
 }
 
 // Complete finalizes a leased job with a worker's result and merges
-// its cache deltas into the coordinator's sharded caches. The deltas
-// are merged only when the completion is accepted: an unknown job, a
-// lost lease or a malformed outcome must not be able to write into the
-// shared caches (a poisoned score entry would silently break the
-// byte-identical determinism every rerun relies on).
+// its score delta into the coordinator's sharded cache. The delta is
+// merged only when the completion is accepted: an unknown job, a lost
+// lease or a malformed outcome must not be able to write into the
+// shared cache (a poisoned score entry would silently break the
+// byte-identical determinism every rerun relies on). Entries for
+// another target than the job's, or without a pose, are dropped.
 func (s *Service) Complete(workerID, token, jobID string, res WorkerResult) error {
 	return s.complete(workerID, token, jobID, res, nil)
 }
@@ -700,21 +729,26 @@ func (s *Service) complete(workerID, token, jobID string, res WorkerResult, full
 	case res.Summary == nil:
 		return fmt.Errorf("service: complete for job %s carries no summary, error or cancel", jobID)
 	}
-	// Resolve the job's tenant before completing: the completion itself
-	// may prune the record (MaxJobRecords). The field is immutable after
-	// submit, so the unlocked read is safe.
-	tenant := DefaultTenant
+	// Resolve the job's tenant and target before completing: the
+	// completion itself may prune the record (MaxJobRecords). The fields
+	// are immutable after submit, so the unlocked read is safe.
+	tenant, target := DefaultTenant, ""
 	if j, ok := s.sched.get(jobID); ok {
-		tenant = j.tenant
+		tenant, target = j.tenant, j.req.Target
 	}
 	if err := s.sched.complete(workerID, token, jobID, state, res.Error, res.Summary, full, time.Now()); err != nil {
 		return err
 	}
 	if full != nil {
-		s.trimResults()
+		s.retainFull(jobID)
 	}
-	s.scores.Import(res.Scores)
-	s.features.Import(res.Features)
+	var delta []ScoreEntry
+	for _, e := range res.Scores {
+		if e.Target == target && len(e.Result.Genome) > 0 {
+			delta = append(delta, e)
+		}
+	}
+	s.scores.Import(delta)
 	// Fold the run's observability payload into the fleet-wide series —
 	// only now, after the completion was accepted, so a lost lease
 	// cannot inflate the counters.
@@ -728,11 +762,15 @@ func (s *Service) complete(workerID, token, jobID string, res WorkerResult, full
 		}
 		s.met.observeFunnel(tenant, timings, wall)
 	}
-	// The per-terminal checkpoint runs here and only here, after the
-	// merge: a checkpoint taken before the deltas land would
-	// systematically exclude this very job's docking labels — the main
-	// warmth a remote run contributes.
-	_ = s.Snapshot()
+	// Wake the checkpoint writer, after the merge so this job's labels
+	// are in what it writes: a remote run's delta, or what an in-process
+	// run put into the shared cache directly. The ack does not wait.
+	if len(delta) > 0 || full != nil {
+		select {
+		case s.snapPoke <- struct{}{}:
+		default:
+		}
+	}
 	return nil
 }
 

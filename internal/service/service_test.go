@@ -1,8 +1,11 @@
 package service
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"impeccable/internal/campaign"
 )
 
 // smallReq is a campaign sized to finish in seconds.
@@ -202,6 +205,39 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestResultRetentionTrimming(t *testing.T) {
+	// A long job table: releasing the oldest full result must not depend
+	// on walking it. Completions are driven by hand, as an in-process
+	// holder would make them.
+	t.Run("1100 terminal jobs", func(t *testing.T) {
+		s := NewService(Options{RemoteOnly: true, CacheShards: 4})
+		t.Cleanup(s.Shutdown)
+		var ids []string
+		for i := 0; i < 1100; i++ {
+			id, err := s.Submit(smallReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := s.Lease("w", 0)
+			if err != nil || g == nil || g.JobID != id {
+				t.Fatalf("lease = %+v, %v", g, err)
+			}
+			if err := s.complete("w", g.Token, id, WorkerResult{Summary: &ResultSummary{}}, &campaign.Result{}); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for i, id := range ids {
+			_, err := s.FullResult(id)
+			if kept := i >= len(ids)-64; kept && err != nil {
+				t.Fatalf("job %d of %d lost its full result inside the bound: %v", i, len(ids), err)
+			} else if !kept && !errors.Is(err, ErrNoResult) {
+				t.Fatalf("job %d of %d kept its full result past the bound (err %v)", i, len(ids), err)
+			}
+		}
+		if n := len(s.fullIDs); n != 64 {
+			t.Fatalf("retention queue holds %d IDs, want 64", n)
+		}
+	})
 	if testing.Short() {
 		t.Skip("runs two full (small) campaigns")
 	}

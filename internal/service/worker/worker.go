@@ -2,9 +2,11 @@
 // service's lease protocol: a pull-based worker that leases jobs from
 // a coordinator over HTTP, runs each campaign locally against
 // per-worker score/feature caches, heartbeats while it runs, and posts
-// back the result summary plus the cache deltas the run produced. The
-// coordinator merges those deltas into its sharded caches, so labels
-// computed on any worker warm the whole cluster's future submissions.
+// back the result summary plus the docking results the run computed
+// fresh. The coordinator merges that delta into its sharded score
+// cache, so labels computed on any worker warm the whole cluster's
+// future submissions; feature vectors stay in the worker's own cache
+// (recomputing one from its ID is cheaper than shipping it).
 //
 // The shape follows the paper's pilot-job middleware (EnTK/RADICAL
 // pilots pull tasks onto allocated nodes rather than having tasks
@@ -78,9 +80,9 @@ type Worker struct {
 	opts    Options
 	client  *http.Client
 	targets map[string]*receptor.Target
-	// completeClient carries the complete upload: tens of MB of cache
-	// deltas that a slow link cannot move inside the protocol client's
-	// short timeout (which is sized for lease/heartbeat round-trips).
+	// completeClient carries the complete upload: up to maxScoreDelta
+	// docking results, which a slow link cannot move inside the protocol
+	// client's short timeout (sized for lease/heartbeat round-trips).
 	completeClient *http.Client
 	scores         *service.ScoreCache
 	features       *service.FeatureCache
@@ -209,9 +211,8 @@ func (w *Worker) execute(ctx context.Context, g *service.LeaseGrant) error {
 	cfg := service.BaseConfig(g.Req, t)
 	cfg.Workers = w.opts.CampaignWorkers
 	scores := &recordingScores{inner: w.scores.ForTarget(t.Name), target: t.Name}
-	features := &recordingFeatures{cache: w.features}
 	cfg.DockCache = scores
-	cfg.Features = features
+	cfg.Features = w.features
 
 	cancel := make(chan struct{})
 	var abandoned atomic.Bool
@@ -250,10 +251,10 @@ func (w *Worker) execute(ctx context.Context, g *service.LeaseGrant) error {
 		w.logf("worker %s: abandoned %s (lease lost or shutting down)", w.opts.ID, g.JobID)
 		return nil
 	}
-	out := service.WorkerResult{Scores: scores.take(), Features: features.take()}
-	if ds, df := scores.droppedN(), features.droppedN(); ds+df > 0 {
-		w.logf("worker %s: %s delta capped (%d score, %d feature entries not shipped; coordinator cache stays colder)",
-			w.opts.ID, g.JobID, ds, df)
+	out := service.WorkerResult{Scores: scores.take()}
+	if n := scores.droppedN(); n > 0 {
+		w.logf("worker %s: %s delta capped (%d score entries not shipped; coordinator cache stays colder)",
+			w.opts.ID, g.JobID, n)
 	}
 	out.Stats = &service.WorkerRunStats{
 		ScoreCache:   statsDelta(scoresBefore, w.scores.Stats()),
@@ -437,18 +438,13 @@ func (p *progressState) get() (string, float64) {
 	return p.stage, p.frac
 }
 
-// maxFeatureDelta bounds the feature-cache delta shipped per job: the
-// vectors are recomputable from their IDs, so dropping the tail costs
-// a restarted coordinator some recompute, never correctness.
-const maxFeatureDelta = 50_000
-
-// maxScoreDelta bounds the score-cache delta the same way. Score
+// maxScoreDelta bounds the score-cache delta shipped per job. Score
 // entries are expensive to recompute (each is a docking run), but the
 // delta only warms the coordinator's shared cache — the worker keeps
 // every entry in its own cache regardless — so dropping the tail costs
-// the cluster some warmth, never correctness. Both caps together keep
-// the worst-case complete payload well under the coordinator's body
-// limit (http.maxCompleteBody).
+// the cluster some warmth, never correctness. The cap keeps the
+// worst-case complete payload well under the coordinator's body limit
+// (http.maxCompleteBody).
 const maxScoreDelta = 50_000
 
 // recordingScores wraps the worker's per-target score-cache view and
@@ -487,66 +483,6 @@ func (r *recordingScores) take() []service.ScoreEntry {
 }
 
 func (r *recordingScores) droppedN() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// recordingFeatures serves ML1 feature vectors from the worker's
-// persistent cache and records the ones this run computed fresh.
-type recordingFeatures struct {
-	cache *service.FeatureCache
-
-	mu      sync.Mutex
-	delta   []service.FeatureEntry
-	dropped int
-}
-
-func (r *recordingFeatures) Features(id uint64) []float64 {
-	if v, ok := r.cache.Lookup(id); ok {
-		return v
-	}
-	v := chem.FromID(id).FeatureVector()
-	r.cache.Insert(id, v)
-	r.mu.Lock()
-	if len(r.delta) < maxFeatureDelta {
-		r.delta = append(r.delta, service.FeatureEntry{ID: id, Vec: v})
-	} else {
-		r.dropped++
-	}
-	r.mu.Unlock()
-	return v
-}
-
-// FeaturesInto is the batched counterpart of Features (see
-// surrogate.BatchFeatureSource): same cache interaction and delta
-// recording, but the vector is written into dst instead of shared.
-func (r *recordingFeatures) FeaturesInto(dst []float64, id uint64) {
-	if v, ok := r.cache.Lookup(id); ok {
-		copy(dst, v)
-		return
-	}
-	chem.FromID(id).FeatureVectorInto(dst)
-	v := append([]float64(nil), dst...)
-	r.cache.Insert(id, v)
-	r.mu.Lock()
-	if len(r.delta) < maxFeatureDelta {
-		r.delta = append(r.delta, service.FeatureEntry{ID: id, Vec: v})
-	} else {
-		r.dropped++
-	}
-	r.mu.Unlock()
-}
-
-func (r *recordingFeatures) take() []service.FeatureEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := r.delta
-	r.delta = nil
-	return d
-}
-
-func (r *recordingFeatures) droppedN() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped

@@ -1,9 +1,15 @@
 package worker
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,11 +112,32 @@ func assertIdentical(t *testing.T, what string, got, want service.ResultSummary)
 	}
 }
 
+// uploadTap is an http.RoundTripper that keeps the body of every
+// complete call the worker makes.
+type uploadTap struct {
+	mu      sync.Mutex
+	uploads [][]byte
+}
+
+func (u *uploadTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/worker/complete") {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		u.mu.Lock()
+		u.uploads = append(u.uploads, body)
+		u.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // TestWorkerRunsCampaignRemotely is the acceptance test for remote
 // execution: a campaign submitted to a zero-local-worker coordinator
 // completes on a worker process with a ResultSummary byte-identical to
-// in-process execution, and the worker's cache deltas land in the
-// coordinator's sharded caches.
+// in-process execution, and the worker's fresh docking labels — and
+// only those: no feature vectors — land in the coordinator's cache.
 func TestWorkerRunsCampaignRemotely(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full (small) campaigns")
@@ -123,7 +150,9 @@ func TestWorkerRunsCampaignRemotely(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := newWorker(t, srv.URL, "w-remote", 0)
+	tap := &uploadTap{}
+	w := New(Options{Server: srv.URL, ID: "w-remote", Poll: 20 * time.Millisecond, Logf: t.Logf,
+		HTTPClient: &http.Client{Transport: tap}})
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
 
@@ -148,11 +177,53 @@ func TestWorkerRunsCampaignRemotely(t *testing.T) {
 	if st := s.ScoreCacheStats(); st.Entries == 0 {
 		t.Fatalf("coordinator score cache empty after remote completion: %+v", st)
 	}
-	if st := s.FeatureCacheStats(); st.Entries == 0 {
-		t.Fatalf("coordinator feature cache empty after remote completion: %+v", st)
-	}
 	cancel()
 	<-done
+
+	// Feature vectors stay on the worker, which keeps serving ML1 from
+	// its own cache: the upload carries scores and no features.
+	if len(tap.uploads) != 1 {
+		t.Fatalf("worker made %d complete calls, want 1", len(tap.uploads))
+	}
+	var upload map[string]json.RawMessage
+	if err := json.Unmarshal(tap.uploads[0], &upload); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := upload["scores"]; !ok {
+		t.Fatal("upload carries no scores")
+	}
+	if _, ok := upload["features"]; ok {
+		t.Fatalf("upload still carries features (%d bytes in all)", len(tap.uploads[0]))
+	}
+	if st := w.FeatureCacheStats(); st.Entries == 0 {
+		t.Fatalf("worker feature cache empty after its run: %+v", st)
+	}
+	if st := s.FeatureCacheStats(); st.Entries != 0 {
+		t.Fatalf("coordinator feature cache grew from a remote completion: %+v", st)
+	}
+	// An older worker's completion that does carry them is still a 200,
+	// and still merges nothing into the feature cache.
+	id2, err := s.Submit(smallReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Lease("w-older", 0)
+	if err != nil || g == nil || g.JobID != id2 {
+		t.Fatalf("lease = %+v, %v", g, err)
+	}
+	body, _ := json.Marshal(service.CompleteRequest{WorkerID: "w-older", Token: g.Token, JobID: id2,
+		WorkerResult: service.WorkerResult{Summary: &got, Features: []service.FeatureEntry{{ID: 7, Vec: []float64{1, 2}}}}})
+	resp, err := http.Post(srv.URL+"/api/v1/worker/complete", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("completion carrying features = %d, want 200", resp.StatusCode)
+	}
+	if st := s.FeatureCacheStats(); st.Entries != 0 {
+		t.Fatalf("shipped feature vectors were merged: %+v", st)
+	}
 }
 
 // TestWorkerCachesWarmAcrossJobs: a worker's per-worker caches persist
