@@ -1,6 +1,7 @@
 package aae
 
 import (
+	"fmt"
 	"math"
 
 	"impeccable/internal/geom"
@@ -46,6 +47,13 @@ func DefaultConfig(numPoints int) Config {
 	}
 }
 
+// trainChunk is how many clouds TrainBatch, ValidationRecon and
+// EncodeBatch stack into one (trainChunk·NumPoints)×3 pass through the
+// shared point MLP. It is a memory bound, not a tuning knob: S2 runs in
+// every campaign, and the chunk's activations and scratch grow with it
+// (four clouds cost ≈ 1 MB of activations per layer).
+const trainChunk = 2
+
 // Model is the 3D adversarial autoencoder.
 type Model struct {
 	cfg Config
@@ -60,9 +68,15 @@ type Model struct {
 
 	rng *xrand.RNG
 
-	// encoder backward cache
-	lastPoints *nn.Mat
-	lastArgmax []int
+	// Chunk scratch, allocated on first use for a chunk's clouds and
+	// reused across chunks and batches.
+	x      *nn.Mat     // stacked normalized clouds, one point per row
+	pooled *nn.Mat     // max-pooled point features, one cloud per row
+	argmax []int       // per cloud and feature, the winning point
+	dH     *nn.Mat     // max-pool scatter of dL/dpooled, zero between uses
+	dOut   *nn.Mat     // dL/dreconstruction, one cloud per row
+	rec    []geom.Vec3 // one cloud's reconstruction
+	ref    []geom.Vec3 // one cloud's normalized input
 }
 
 // New builds an untrained model.
@@ -93,66 +107,122 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// normalize maps a cloud into network coordinates (centered, scaled).
-func (m *Model) normalize(cloud []geom.Vec3) *nn.Mat {
-	ctr := geom.Centroid(cloud)
-	x := nn.NewMat(len(cloud), 3)
+// chunkRows returns the first r rows of a scratch matrix as a view.
+func chunkRows(m *nn.Mat, r int) *nn.Mat {
+	return &nn.Mat{R: r, C: m.C, V: m.V[:r*m.C]}
+}
+
+// stack normalizes a chunk of clouds (centered, scaled) into the stacked
+// input, cloud c on rows [c·NumPoints, (c+1)·NumPoints).
+func (m *Model) stack(clouds [][]geom.Vec3) *nn.Mat {
+	n, k := m.cfg.NumPoints, len(clouds)
+	if m.x == nil || m.x.R < k*n {
+		f := m.cfg.PointHidden2
+		m.x = nn.NewMat(k*n, 3)
+		m.pooled = nn.NewMat(k, f)
+		m.argmax = make([]int, k*f)
+		m.dH = nn.NewMat(k*n, f)
+		m.dOut = nn.NewMat(k, 3*n)
+		m.rec = make([]geom.Vec3, n)
+		m.ref = make([]geom.Vec3, n)
+	}
+	x := chunkRows(m.x, len(clouds)*n)
 	inv := 1 / m.cfg.CoordScale
-	for i, p := range cloud {
-		q := p.Sub(ctr).Scale(inv)
-		row := x.Row(i)
-		row[0], row[1], row[2] = q.X, q.Y, q.Z
+	for c, cloud := range clouds {
+		if len(cloud) != n {
+			panic(fmt.Sprintf("aae: cloud of %d points, model expects %d", len(cloud), n))
+		}
+		ctr := geom.Centroid(cloud)
+		for i, p := range cloud {
+			q := p.Sub(ctr).Scale(inv)
+			row := x.Row(c*n + i)
+			row[0], row[1], row[2] = q.X, q.Y, q.Z
+		}
 	}
 	return x
 }
 
-// encodeForward runs the PointNet encoder on one cloud, caching what
-// encodeBackward needs. Returns the latent row vector (1×L).
-func (m *Model) encodeForward(cloud []geom.Vec3) *nn.Mat {
-	x := m.normalize(cloud)
-	h := m.pointNet.Forward(x) // N × F
-	f := h.C
-	pooled := nn.NewMat(1, f)
-	argmax := make([]int, f)
-	for j := 0; j < f; j++ {
-		best, bi := h.At(0, j), 0
-		for i := 1; i < h.R; i++ {
-			if v := h.At(i, j); v > best {
-				best, bi = v, i
+// maxPool reduces the point features h (NumPoints rows per cloud) to one
+// row per cloud, recording each maximum's point for unpool. The first
+// maximum wins, and a NaN first element stays the maximum.
+func (m *Model) maxPool(h *nn.Mat) *nn.Mat {
+	n, f := m.cfg.NumPoints, h.C
+	k := h.R / n
+	pooled := chunkRows(m.pooled, k)
+	for c := 0; c < k; c++ {
+		best := pooled.Row(c)
+		arg := m.argmax[c*f : (c+1)*f]
+		copy(best, h.Row(c*n))
+		clear(arg)
+		for i := 1; i < n; i++ {
+			for j, v := range h.Row(c*n + i) {
+				if v > best[j] {
+					best[j], arg[j] = v, i
+				}
 			}
 		}
-		pooled.Set(0, j, best)
-		argmax[j] = bi
 	}
-	m.lastPoints = h
-	m.lastArgmax = argmax
-	return m.head.Forward(pooled)
+	return pooled
 }
 
-// encodeBackward backpropagates dL/dz through head, max-pool and the
-// shared point MLP, accumulating parameter gradients.
-func (m *Model) encodeBackward(dz *nn.Mat) {
-	dPool := m.head.Backward(dz) // 1 × F
-	dH := nn.NewMat(m.lastPoints.R, m.lastPoints.C)
-	for j := 0; j < dH.C; j++ {
-		dH.Set(m.lastArgmax[j], j, dPool.At(0, j))
+// unpool scatters dL/dpooled (one row per cloud) onto the points that
+// won the max-pool and backpropagates it through the shared point MLP,
+// one cloud per gradient segment.
+func (m *Model) unpool(dPool *nn.Mat) {
+	n, f := m.cfg.NumPoints, dPool.C
+	dH := chunkRows(m.dH, dPool.R*n)
+	for c := 0; c < dPool.R; c++ {
+		for j, i := range m.argmax[c*f : (c+1)*f] {
+			dH.Set(c*n+i, j, dPool.At(c, j))
+		}
 	}
-	m.pointNet.Backward(dH)
+	m.pointNet.BackwardRows(dH, n)
+	for c := 0; c < dPool.R; c++ {
+		for j, i := range m.argmax[c*f : (c+1)*f] {
+			dH.Set(c*n+i, j, 0)
+		}
+	}
+}
+
+// vecs reads 3·len(dst) coordinates (x, y, z per point) into dst.
+func vecs(dst []geom.Vec3, v []float64) []geom.Vec3 {
+	for i := range dst {
+		dst[i] = geom.Vec3{X: v[3*i], Y: v[3*i+1], Z: v[3*i+2]}
+	}
+	return dst
+}
+
+// cloudCoords returns cloud c's normalized coordinates in the stack.
+func (m *Model) cloudCoords(x *nn.Mat, c int) []float64 {
+	n := 3 * m.cfg.NumPoints
+	return x.V[c*n : (c+1)*n]
+}
+
+// infer embeds a chunk of clouds through the inference-only path,
+// returning one latent row per cloud (valid until ar's next Reset) and
+// the stacked input.
+func (m *Model) infer(clouds [][]geom.Vec3, ar *nn.Arena) (z, x *nn.Mat) {
+	x = m.stack(clouds)
+	return m.head.Infer(m.maxPool(m.pointNet.Infer(x, ar)), ar), x
 }
 
 // Encode returns the latent embedding of a cloud (no gradient state kept).
 func (m *Model) Encode(cloud []geom.Vec3) []float64 {
-	z := m.encodeForward(cloud)
-	out := make([]float64, z.C)
-	copy(out, z.Row(0))
-	return out
+	return m.EncodeBatch([][]geom.Vec3{cloud})[0]
 }
 
-// EncodeBatch embeds many clouds.
+// EncodeBatch embeds many clouds, trainChunk at a time.
 func (m *Model) EncodeBatch(clouds [][]geom.Vec3) [][]float64 {
 	out := make([][]float64, len(clouds))
-	for i, c := range clouds {
-		out[i] = m.Encode(c)
+	ar := nn.GetArena()
+	defer ar.Release()
+	for at := 0; at < len(clouds); at += trainChunk {
+		part := clouds[at:min(at+trainChunk, len(clouds))]
+		z, _ := m.infer(part, ar)
+		for c := range part {
+			out[at+c] = append([]float64(nil), z.Row(c)...)
+		}
+		ar.Reset()
 	}
 	return out
 }
@@ -161,15 +231,7 @@ func (m *Model) EncodeBatch(clouds [][]geom.Vec3) [][]float64 {
 // coordinates.
 func (m *Model) decode(z *nn.Mat) []geom.Vec3 {
 	out := m.decoder.Forward(z)
-	pts := make([]geom.Vec3, m.cfg.NumPoints)
-	for i := range pts {
-		pts[i] = geom.Vec3{
-			X: out.At(0, 3*i),
-			Y: out.At(0, 3*i+1),
-			Z: out.At(0, 3*i+2),
-		}
-	}
-	return pts
+	return vecs(make([]geom.Vec3, m.cfg.NumPoints), out.Row(0))
 }
 
 // Reconstruct decodes a latent vector into a point cloud in network
@@ -190,50 +252,30 @@ type Losses struct {
 
 // TrainBatch performs one generator update and NCritic critic updates on
 // the given clouds, returning mean losses.
+//
+// The generator phase runs trainChunk clouds at a time through one
+// stacked forward and backward pass, and the critic phase runs the
+// whole batch as one. Both are bit-identical to processing the clouds
+// one by one: forward rows are independent, and every parameter
+// gradient keeps its per-cloud summation order (nn.Dense.BackwardRows).
 func (m *Model) TrainBatch(clouds [][]geom.Vec3) Losses {
+	return m.trainBatch(clouds, trainChunk)
+}
+
+func (m *Model) trainBatch(clouds [][]geom.Vec3, chunk int) Losses {
 	if len(clouds) == 0 {
 		return Losses{}
 	}
 	b := float64(len(clouds))
 	var losses Losses
-	zFake := make([][]float64, len(clouds))
+	zFake := nn.NewMat(len(clouds), m.cfg.LatentDim)
 
 	// ---- Generator (encoder+decoder) phase ----
 	m.zeroGenGrads()
-	for ci, cloud := range clouds {
-		z := m.encodeForward(cloud)
-		zFake[ci] = append([]float64(nil), z.Row(0)...)
-
-		rec := m.decode(z)
-		refMat := m.normalize(cloud)
-		ref := make([]geom.Vec3, refMat.R)
-		for i := range ref {
-			row := refMat.Row(i)
-			ref[i] = geom.Vec3{X: row[0], Y: row[1], Z: row[2]}
-		}
-		recLoss, recGrad := chamferGrad(rec, ref)
-		losses.Recon += recLoss / b
-
-		// Backprop reconstruction through the decoder.
-		dOut := nn.NewMat(1, 3*m.cfg.NumPoints)
-		s := m.cfg.ReconScale / b
-		for i, g := range recGrad {
-			dOut.Set(0, 3*i, g.X*s)
-			dOut.Set(0, 3*i+1, g.Y*s)
-			dOut.Set(0, 3*i+2, g.Z*s)
-		}
-		dzRec := m.decoder.Backward(dOut)
-
-		// Adversarial term: encoder maximizes critic score on z.
-		score := m.critic.Forward(z.Clone())
-		losses.Adv += -score.At(0, 0) / b
-		dScore := nn.NewMat(1, 1)
-		dScore.Set(0, 0, -1/b)
-		dzAdv := m.critic.Backward(dScore)
-
-		dz := dzRec.Clone()
-		dz.AddInPlace(dzAdv)
-		m.encodeBackward(dz)
+	for at := 0; at < len(clouds); at += chunk {
+		part := clouds[at:min(at+chunk, len(clouds))]
+		z := m.generatorChunk(part, b, &losses)
+		copy(zFake.V[at*z.C:], z.V)
 	}
 	nn.ClipGrads(m.genParams(), 5)
 	m.optG.Step(m.genParams())
@@ -245,88 +287,100 @@ func (m *Model) TrainBatch(clouds [][]geom.Vec3) Losses {
 
 	// ---- Critic phase ----
 	for it := 0; it < m.cfg.NCritic; it++ {
-		for _, p := range m.critic.Params() {
-			p.ZeroGrad()
-		}
-		var criticLoss float64
-		for _, zf := range zFake {
-			// Critic minimizes D(fake) - D(real): fake scores get
-			// gradient +1/b, real -1/b.
-			zm := nn.NewMat(1, m.cfg.LatentDim)
-			copy(zm.Row(0), zf)
-			s := m.critic.Forward(zm)
-			criticLoss += s.At(0, 0) / b
-			g := nn.NewMat(1, 1)
-			g.Set(0, 0, 1/b)
-			m.critic.Backward(g)
-
-			zr := m.samplePrior()
-			sr := m.critic.Forward(zr)
-			criticLoss -= sr.At(0, 0) / b
-			gr := nn.NewMat(1, 1)
-			gr.Set(0, 0, -1/b)
-			m.critic.Backward(gr)
-
-			criticLoss += m.gradientPenalty(zf, zr)
-		}
-		losses.Critic = criticLoss
-		m.optC.Step(m.critic.Params())
-		nn.ClipWeights(m.critic.Params(), m.cfg.ClipC)
+		losses.Critic = m.criticStep(zFake, b)
 	}
 	return losses
 }
 
-// gradientPenalty applies the finite-difference directional penalty at an
-// interpolate of (fake, real): ((D(ẑ+hu) − D(ẑ−hu))/2h − 1)², scaled by
-// GPScale, accumulating the corresponding critic parameter gradients. It
-// returns its contribution to the critic loss.
-func (m *Model) gradientPenalty(zFake []float64, zReal *nn.Mat) float64 {
-	l := m.cfg.LatentDim
-	eps := m.rng.Float64()
-	zi := nn.NewMat(1, l)
-	for k := 0; k < l; k++ {
-		zi.Set(0, k, eps*zFake[k]+(1-eps)*zReal.At(0, k))
+// generatorChunk accumulates the encoder and decoder gradients of a
+// chunk of clouds (b is the batch size the losses are averaged over) and
+// returns the chunk's latent rows.
+func (m *Model) generatorChunk(clouds [][]geom.Vec3, b float64, losses *Losses) *nn.Mat {
+	k := len(clouds)
+	x := m.stack(clouds)
+	z := m.head.Forward(m.maxPool(m.pointNet.Forward(x)))
+
+	// Backprop the Chamfer reconstruction loss through the decoder.
+	out := m.decoder.Forward(z)
+	dOut := chunkRows(m.dOut, k)
+	s := m.cfg.ReconScale / b
+	for c := 0; c < k; c++ {
+		rec := vecs(m.rec, out.Row(c))
+		ref := vecs(m.ref, m.cloudCoords(x, c))
+		recLoss, recGrad := chamferGrad(rec, ref)
+		losses.Recon += recLoss / b
+		row := dOut.Row(c)
+		for i, g := range recGrad {
+			row[3*i], row[3*i+1], row[3*i+2] = g.X*s, g.Y*s, g.Z*s
+		}
 	}
-	// Random unit direction.
-	u := make([]float64, l)
-	var norm float64
-	for k := range u {
-		u[k] = m.rng.NormFloat64()
-		norm += u[k] * u[k]
+	dz := m.decoder.BackwardRows(dOut, 1)
+
+	// Adversarial term: encoder maximizes critic score on z.
+	score := m.critic.Forward(z)
+	dScore := nn.NewMat(k, 1)
+	for c := 0; c < k; c++ {
+		losses.Adv += -score.At(c, 0) / b
+		dScore.V[c] = -1 / b
 	}
-	norm = 1 / math.Max(1e-12, math.Sqrt(norm))
-	const h = 1e-2
-	zp := zi.Clone()
-	zm := zi.Clone()
-	for k := 0; k < l; k++ {
-		zp.V[k] += h * u[k] * norm
-		zm.V[k] -= h * u[k] * norm
-	}
-	sp := m.critic.Forward(zp).At(0, 0)
-	sm := m.critic.Forward(zm).At(0, 0)
-	g := (sp - sm) / (2 * h)
-	pen := (g - 1) * (g - 1) * m.cfg.GPScale
-	// d pen / d sp = 2(g-1)·GP / (2h); d pen / d sm = -that.
-	dsp := 2 * (g - 1) * m.cfg.GPScale / (2 * h)
-	// Re-run forwards so each Backward sees its own cached activations.
-	m.critic.Forward(zp)
-	gm := nn.NewMat(1, 1)
-	gm.Set(0, 0, dsp)
-	m.critic.Backward(gm)
-	m.critic.Forward(zm)
-	gm2 := nn.NewMat(1, 1)
-	gm2.Set(0, 0, -dsp)
-	m.critic.Backward(gm2)
-	return pen
+	dz.AddInPlace(m.critic.BackwardRows(dScore, 1))
+
+	m.unpool(m.head.BackwardRows(dz, 1))
+	return z
 }
 
-// samplePrior draws one latent sample from the N(0, σ²) prior.
-func (m *Model) samplePrior() *nn.Mat {
-	z := nn.NewMat(1, m.cfg.LatentDim)
-	for k := range z.V {
-		z.V[k] = m.rng.Norm(0, m.cfg.PriorStd)
+// criticStep performs one critic update against the batch's latent rows
+// zFake, returning the critic loss. Each fake row is scored beside a
+// prior sample and the two finite-difference probes of its gradient
+// penalty, ((D(ẑ+hu) − D(ẑ−hu))/2h − 1)² · GPScale at an interpolate ẑ
+// of (fake, prior) along a random unit direction u; all 4·len(zFake)
+// rows go through one forward and one backward pass.
+func (m *Model) criticStep(zFake *nn.Mat, b float64) float64 {
+	const h = 1e-2
+	l := m.cfg.LatentDim
+	zs := nn.NewMat(4*zFake.R, l) // per fake row: fake, prior, ẑ+hu, ẑ−hu
+	u := make([]float64, l)
+	for c := 0; c < zFake.R; c++ {
+		zf, zr := zFake.Row(c), zs.Row(4*c+1)
+		copy(zs.Row(4*c), zf)
+		for k := range zr {
+			zr[k] = m.rng.Norm(0, m.cfg.PriorStd)
+		}
+		eps := m.rng.Float64()
+		var norm float64
+		for k := range u {
+			u[k] = m.rng.NormFloat64()
+			norm += u[k] * u[k]
+		}
+		norm = 1 / math.Max(1e-12, math.Sqrt(norm))
+		zp, zm := zs.Row(4*c+2), zs.Row(4*c+3)
+		for k := 0; k < l; k++ {
+			zi := eps*zf[k] + (1-eps)*zr[k]
+			zp[k] = zi + h*u[k]*norm
+			zm[k] = zi - h*u[k]*norm
+		}
 	}
-	return z
+	for _, p := range m.critic.Params() {
+		p.ZeroGrad()
+	}
+	// Critic minimizes D(fake) - D(real): fake scores get gradient +1/b,
+	// real -1/b; d pen / d sp = 2(g-1)·GP / (2h), d pen / d sm = -that.
+	scores := m.critic.Forward(zs)
+	grad := nn.NewMat(zs.R, 1)
+	var loss float64
+	for c := 0; c < zFake.R; c++ {
+		sf, sr, sp, sm := scores.V[4*c], scores.V[4*c+1], scores.V[4*c+2], scores.V[4*c+3]
+		loss += sf / b
+		loss -= sr / b
+		g := (sp - sm) / (2 * h)
+		loss += (g - 1) * (g - 1) * m.cfg.GPScale
+		dsp := 2 * (g - 1) * m.cfg.GPScale / (2 * h)
+		grad.V[4*c], grad.V[4*c+1], grad.V[4*c+2], grad.V[4*c+3] = 1/b, -1/b, dsp, -dsp
+	}
+	m.critic.BackwardRows(grad, 1)
+	m.optC.Step(m.critic.Params())
+	nn.ClipWeights(m.critic.Params(), m.cfg.ClipC)
+	return loss
 }
 
 func (m *Model) genParams() []*nn.Param {
@@ -386,17 +440,17 @@ func (m *Model) ValidationRecon(clouds [][]geom.Vec3) float64 {
 	if len(clouds) == 0 {
 		return 0
 	}
+	ar := nn.GetArena()
+	defer ar.Release()
 	var s float64
-	for _, cloud := range clouds {
-		z := m.encodeForward(cloud)
-		rec := m.decode(z)
-		refMat := m.normalize(cloud)
-		ref := make([]geom.Vec3, refMat.R)
-		for i := range ref {
-			row := refMat.Row(i)
-			ref[i] = geom.Vec3{X: row[0], Y: row[1], Z: row[2]}
+	for at := 0; at < len(clouds); at += trainChunk {
+		part := clouds[at:min(at+trainChunk, len(clouds))]
+		z, x := m.infer(part, ar)
+		out := m.decoder.Infer(z, ar)
+		for c := range part {
+			s += Chamfer(vecs(m.rec, out.Row(c)), vecs(m.ref, m.cloudCoords(x, c)))
 		}
-		s += Chamfer(rec, ref)
+		ar.Reset()
 	}
 	return s / float64(len(clouds))
 }

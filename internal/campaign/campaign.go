@@ -606,8 +606,6 @@ func yield(t *receptor.Target, ids []uint64, cgMols []*chem.Molecule) float64 {
 }
 
 func fastProto(p esmacs.Protocol, equil, prod int) esmacs.Protocol {
-	scale := float64(p.Replicas) // keep replica structure, shrink time
-	_ = scale
 	p.EquilSteps = equil
 	p.ProdSteps = prod
 	p.MinimizeIters = 30

@@ -186,6 +186,30 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunMatchesStepBitForBit pins the force reuse in Run: carrying each
+// step's closing forces into the next step must land on exactly the
+// positions, velocities and energies of calling Step once per step,
+// which evaluates the forces twice.
+func TestRunMatchesStepBitForBit(t *testing.T) {
+	const steps = 40
+	in := DefaultIntegrator()
+	a, b := newTestSystem(19), newTestSystem(19)
+	ra, rb := xrand.New(8), xrand.New(8)
+	in.InitVelocities(a, ra)
+	in.InitVelocities(b, rb)
+	tr := Run(a, in, RunConfig{Steps: steps, SampleEach: 1, Record: true}, ra)
+	for i := 0; i < steps; i++ {
+		if e := in.Step(b, rb); e != tr.Frames[i].E {
+			t.Fatalf("step %d: Step energies %+v, Run %+v", i+1, e, tr.Frames[i].E)
+		}
+	}
+	for i := range a.Pos {
+		if a.Pos[i] != b.Pos[i] || a.Vel[i] != b.Vel[i] {
+			t.Fatalf("bead %d: Run and Step diverge", i)
+		}
+	}
+}
+
 func TestContactCountBehaviour(t *testing.T) {
 	s := newTestSystem(17)
 	in := s.ContactCount(ContactCutoff)

@@ -67,6 +67,7 @@ type System struct {
 	depths      [][chem.NumBeadClasses]float64
 	wells       []receptor.Well
 	forceBuf    []geom.Vec3
+	sigmaBuf    []float64   // per-bead O-step noise scale (Integrator scratch)
 	startLigand []geom.Vec3 // initial ligand positions, for RMSD
 }
 
@@ -138,6 +139,7 @@ func NewSystem(t *receptor.Target, m *chem.Molecule, ligandPos []geom.Vec3) *Sys
 		s.ligAngle0 = append(s.ligAngle0, conf.Beads[i].Pos.Dist(conf.Beads[i+2].Pos))
 	}
 	s.forceBuf = make([]geom.Vec3, n)
+	s.sigmaBuf = make([]float64, n)
 	s.startLigand = append([]geom.Vec3(nil), ligandPos...)
 	return s
 }

@@ -36,8 +36,16 @@ type RunConfig struct {
 // trajectory (empty if Record is false).
 func Run(s *System, in Integrator, cfg RunConfig, r *xrand.RNG) *Trajectory {
 	tr := &Trajectory{MolID: s.Mol.ID}
+	if cfg.Steps < 1 {
+		return tr
+	}
+	// Each step's closing forces open the next one, so the force field
+	// is evaluated once per step plus once here.
+	o := in.thermostat(s)
+	f, _ := s.Forces()
 	for step := 1; step <= cfg.Steps; step++ {
-		e := in.Step(s, r)
+		var e Energies
+		f, e = in.advance(s, r, f, o)
 		if cfg.Record && cfg.SampleEach > 0 && step%cfg.SampleEach == 0 {
 			tr.Frames = append(tr.Frames, Frame{
 				Step:       step,

@@ -12,13 +12,19 @@
 //     other operand panel is entirely finite (0·NaN = NaN, 0·±Inf =
 //     NaN). The panel is scanned once per call — O(len) against the
 //     O(R·len) multiply — so sparse fingerprint rows keep their fast
-//     path without silently dropping NaN/Inf propagation.
+//     path without silently dropping NaN/Inf propagation. The same rule
+//     covers whole zero rows: aᵀ·b skips rows of b that are all zero
+//     when a is finite, and a·bᵀ writes +0 rows for rows of a that are
+//     all zero when b is finite. A 0·finite term is ±0, and adding ±0
+//     changes a chain only when it is −0; a chain from +0 never is, and
+//     an accumulating aᵀ·b skips nothing while dst holds a −0.
 //  3. Determinism: parallelism is a pure row partition; no atomics, no
 //     reductions across goroutines, no scheduling-order dependence.
 package nn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -78,16 +84,23 @@ func parallelRanges(n, w int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// allFinite reports whether every element of v is finite. v-v is 0 for
-// finite values and NaN for NaN and ±Inf, so one subtraction replaces
-// two classification calls in the scan.
+// allFinite reports whether every element of v is finite. x-x is 0 for
+// finite values and NaN for NaN and ±Inf, and NaN survives any sum, so
+// four branch-free partial sums of x-x replace two classification calls
+// and a branch per element.
 func allFinite(v []float64) bool {
-	for _, x := range v {
-		if x-x != 0 {
-			return false
-		}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		s0 += v[i] - v[i]
+		s1 += v[i+1] - v[i+1]
+		s2 += v[i+2] - v[i+2]
+		s3 += v[i+3] - v[i+3]
 	}
-	return true
+	for ; i < len(v); i++ {
+		s0 += v[i] - v[i]
+	}
+	return s0+s1+s2+s3 == 0
 }
 
 // MatMulInto computes dst = a·b, overwriting dst (shape a.R×b.C). dst
@@ -182,18 +195,39 @@ func matMulATBAccInto(dst, a, b *Mat) {
 }
 
 func matMulATB(dst, a, b *Mat, acc bool) {
-	skipZero := allFinite(b.V)
-	w := kernelWorkers(a.C, int64(a.R)*int64(a.C)*int64(b.C))
+	// Zero terms may be skipped only where they cannot change a chain:
+	// the other operand must be finite, and an accumulating dst must
+	// hold no −0 (−0 + +0 is +0, so a skipped +0 term would leave −0).
+	safe := !acc || !hasNegZero(dst.V)
+	skipZero := safe && allFinite(b.V)
+	ks := nonZeroRows(b, safe && allFinite(a.V))
+	w := kernelWorkers(a.C, int64(len(ks))*int64(a.C)*int64(b.C))
 	parallelRanges(a.C, w, func(lo, hi int) {
-		matMulATBCols(dst, a, b, lo, hi, acc, skipZero)
+		matMulATBCols(dst, a, b, ks, lo, hi, acc, skipZero)
 	})
+}
+
+// nonZeroRows lists the rows of b that hold a nonzero element, or every
+// row when skip is false. A skipped row contributes only a·0 = ±0 terms
+// (a finite), which leave any chain that is not −0 unchanged. After the
+// AAE's max-pool scatter most gradient rows are zero, so the list is
+// usually far shorter than b.R.
+func nonZeroRows(b *Mat, skip bool) []int {
+	ks := make([]int, 0, b.R)
+	for k := 0; k < b.R; k++ {
+		if !skip || !allZero(b.V[k*b.C:(k+1)*b.C]) {
+			ks = append(ks, k)
+		}
+	}
+	return ks
 }
 
 // matMulATBCols computes dst rows [lo, hi) — columns of a — with a
 // 4-column register block sharing each (a-row, b-row) pair across four
-// accumulator rows. k (= rows of a) stays the sequential reduction.
-func matMulATBCols(dst, a, b *Mat, lo, hi int, acc, skipZero bool) {
-	n, ac, rows := b.C, a.C, a.R
+// accumulator rows. The rows of a and b listed in ks, in order, are the
+// sequential reduction.
+func matMulATBCols(dst, a, b *Mat, ks []int, lo, hi int, acc, skipZero bool) {
+	n, ac := b.C, a.C
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		r0 := dst.V[(i+0)*n : (i+1)*n]
@@ -206,7 +240,7 @@ func matMulATBCols(dst, a, b *Mat, lo, hi int, acc, skipZero bool) {
 			clearRow(r2)
 			clearRow(r3)
 		}
-		for k := 0; k < rows; k++ {
+		for _, k := range ks {
 			ak := a.V[k*ac : k*ac+ac]
 			v0, v1, v2, v3 := ak[i], ak[i+1], ak[i+2], ak[i+3]
 			if skipZero && v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
@@ -226,7 +260,7 @@ func matMulATBCols(dst, a, b *Mat, lo, hi int, acc, skipZero bool) {
 		if !acc {
 			clearRow(ri)
 		}
-		for k := 0; k < rows; k++ {
+		for _, k := range ks {
 			v := a.V[k*ac+i]
 			if skipZero && v == 0 {
 				continue
@@ -248,9 +282,12 @@ func MatMulABTInto(dst, a, b *Mat) *Mat {
 	if dst.R != a.R || dst.C != b.R {
 		panic(fmt.Sprintf("nn: MatMulABTInto dst %dx%d, want %dx%d", dst.R, dst.C, a.R, b.R))
 	}
+	// A row of a that is all zero yields a +0 dst row while b is finite:
+	// every term is ±0 and a chain from +0 stays +0.
+	skipZero := allFinite(b.V)
 	w := kernelWorkers(a.R, int64(a.R)*int64(a.C)*int64(b.R))
 	parallelRanges(a.R, w, func(lo, hi int) {
-		matMulABTRows(dst, a, b, lo, hi)
+		matMulABTRows(dst, a, b, lo, hi, skipZero)
 	})
 	return dst
 }
@@ -258,11 +295,15 @@ func MatMulABTInto(dst, a, b *Mat) *Mat {
 // matMulABTRows computes dst rows [lo, hi) as dot products, four
 // b-rows at a time so each a-element load feeds four independent
 // accumulators (each still summing over k in reference order).
-func matMulABTRows(dst, a, b *Mat, lo, hi int) {
+func matMulABTRows(dst, a, b *Mat, lo, hi int, skipZero bool) {
 	bc := b.C
 	for i := lo; i < hi; i++ {
 		arow := a.V[i*a.C : (i+1)*a.C]
 		orow := dst.V[i*dst.C : (i+1)*dst.C]
+		if skipZero && allZero(arow) {
+			clearRow(orow)
+			continue
+		}
 		j := 0
 		for ; j+4 <= b.R; j += 4 {
 			b0 := b.V[(j+0)*bc : (j+1)*bc]
@@ -287,6 +328,26 @@ func matMulABTRows(dst, a, b *Mat, lo, hi int) {
 			orow[j] = s
 		}
 	}
+}
+
+// allZero reports whether every element of v is ±0.
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// hasNegZero reports whether v holds a −0.
+func hasNegZero(v []float64) bool {
+	for _, x := range v {
+		if x == 0 && math.Signbit(x) {
+			return true
+		}
+	}
+	return false
 }
 
 // clearRow zeroes a row slice (compiles to memclr).

@@ -60,6 +60,8 @@ var kernelShapes = []struct{ m, k, n int }{
 	{13, 9, 11},
 	{64, 264, 128}, // the surrogate's input layer shape
 	{33, 17, 29},
+	{309, 3, 64},   // the AAE's shared point MLP, PLPro's 309 Cα
+	{309, 64, 128}, // … and its second layer
 }
 
 func TestKernelsBitIdenticalToReference(t *testing.T) {
@@ -239,5 +241,131 @@ func FuzzMatMul(f *testing.F) {
 				t.Fatalf("MatMulABT[%d] = %v, ref %v", i, gABT.V[i], wABT.V[i])
 			}
 		}
+
+		// The zero-row skips: the skipped operand gets whole zero rows
+		// or the max-pool scatter (one nonzero per column); the other
+		// operand is finite half the time (skip taken) and may hold
+		// NaN/±Inf otherwise (skip refused).
+		other := func(mat *Mat) {
+			if r.Intn(2) == 0 {
+				fill(mat)
+				return
+			}
+			for i := range mat.V {
+				mat.V[i] = r.Range(-10, 10)
+			}
+		}
+		at, bt = NewMat(k, m), NewMat(k, n)
+		other(at)
+		zeroRows(bt, r)
+		gATB, wATB = MatMulATB(at, bt), RefMatMulATB(at, bt)
+		for i := range gATB.V {
+			if !bitsEqual(gATB.V[i], wATB.V[i]) {
+				t.Fatalf("zero-row MatMulATB[%d] = %v, ref %v", i, gATB.V[i], wATB.V[i])
+			}
+		}
+		// Accumulate mode continues each dst0 element's chain; dst0
+		// may hold −0, which no skipped term may be allowed to keep.
+		dst := NewMat(m, n)
+		for i := range dst.V {
+			switch r.Intn(4) {
+			case 0:
+				dst.V[i] = math.Copysign(0, -1)
+			case 1:
+				dst.V[i] = 0
+			default:
+				dst.V[i] = r.Range(-10, 10)
+			}
+		}
+		wAcc := refATBAcc(dst, at, bt)
+		matMulATBAccInto(dst, at, bt)
+		for i := range dst.V {
+			if !bitsEqual(dst.V[i], wAcc.V[i]) {
+				t.Fatalf("accumulating MatMulATB[%d] = %v (bits %x), ref %v (bits %x)",
+					i, dst.V[i], math.Float64bits(dst.V[i]), wAcc.V[i], math.Float64bits(wAcc.V[i]))
+			}
+		}
+		ab, bb = NewMat(m, k), NewMat(n, k)
+		zeroRows(ab, r)
+		other(bb)
+		gABT, wABT = MatMulABT(ab, bb), RefMatMulABT(ab, bb)
+		for i := range gABT.V {
+			if !bitsEqual(gABT.V[i], wABT.V[i]) {
+				t.Fatalf("zero-row MatMulABT[%d] = %v, ref %v", i, gABT.V[i], wABT.V[i])
+			}
+		}
 	})
+}
+
+// zeroRows fills m with the shapes the zero-row skips look for: either
+// the max-pool scatter (one nonzero per column, every other element
+// zero, so most rows are zero) or finite rows with whole zero rows
+// planted among them. Zeros come with either sign.
+func zeroRows(m *Mat, r *xrand.RNG) {
+	zero := func() float64 { return math.Copysign(0, float64(1-2*r.Intn(2))) }
+	if r.Intn(2) == 0 {
+		for i := range m.V {
+			m.V[i] = zero()
+		}
+		for j := 0; j < m.C; j++ {
+			m.Set(r.Intn(m.R), j, r.Range(-10, 10))
+		}
+		return
+	}
+	for i := 0; i < m.R; i++ {
+		blank := r.Intn(2) == 0
+		for j, row := 0, m.Row(i); j < m.C; j++ {
+			if blank {
+				row[j] = zero()
+			} else {
+				row[j] = r.Range(-10, 10)
+			}
+		}
+	}
+}
+
+// refATBAcc returns dst0 + aᵀ·b with each element's chain starting at
+// its dst0 value and adding the terms in the reference order.
+func refATBAcc(dst0, a, b *Mat) *Mat {
+	out := dst0.Clone()
+	for k := 0; k < a.R; k++ {
+		arow, brow := a.Row(k), b.Row(k)
+		for i, av := range arow {
+			orow := out.Row(i)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// TestZeroRowSkipExact drives the zero-row skips at the AAE's backward
+// shapes: after the max-pool scatter, dW = xᵀ·g and dx = g·Wᵀ meet a
+// 309-row gradient with one nonzero per column, in both the clearing
+// and the accumulating aᵀ·b, with a finite and with a NaN-bearing
+// other operand.
+func TestZeroRowSkipExact(t *testing.T) {
+	r := xrand.New(13)
+	for _, sh := range []struct{ rows, in, out int }{{309, 3, 64}, {309, 64, 128}} {
+		for _, poison := range []bool{false, true} {
+			x, g, w := NewMat(sh.rows, sh.in), NewMat(sh.rows, sh.out), NewMat(sh.in, sh.out)
+			fillMixed(x, r)
+			fillMixed(w, r)
+			if poison {
+				x.V[r.Intn(len(x.V))] = math.NaN()
+				w.V[r.Intn(len(w.V))] = math.Inf(-1)
+			}
+			for j := 0; j < g.C; j++ {
+				g.Set(r.Intn(g.R), j, r.Range(-1, 1))
+			}
+			assertMatBits(t, "scatter xᵀ·g", MatMulATB(x, g), RefMatMulATB(x, g))
+			acc := NewMat(sh.in, sh.out)
+			fillMixed(acc, r)
+			want := refATBAcc(acc, x, g)
+			matMulATBAccInto(acc, x, g)
+			assertMatBits(t, "scatter G += xᵀ·g", acc, want)
+			assertMatBits(t, "scatter g·Wᵀ", MatMulABT(g, w), RefMatMulABT(g, w))
+		}
+	}
 }

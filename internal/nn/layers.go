@@ -63,10 +63,31 @@ func (d *Dense) Forward(x *Mat) *Mat {
 	return out
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(grad *Mat) *Mat {
+// Backward implements Layer, treating the whole batch as one sample:
+// dW gets one aᵀ·b chain over all rows, added to W.G.
+func (d *Dense) Backward(grad *Mat) *Mat { return d.BackwardRows(grad, grad.R) }
+
+// BackwardRows backpropagates a batch of consecutive samples of
+// rowsPerSample rows each, with the gradient sums segmented per sample:
+// each sample's dW is its own aᵀ·b chain from zero, added to W.G in
+// sample order, exactly as if the samples had been backpropagated one
+// by one. For one row per sample the chains accumulate straight into
+// W.G: G + (0 + x·g) and G + x·g differ only when G is −0, and a
+// gradient accumulator that starts at +0 never becomes −0. The bias
+// gradient and dx are row by row, so they never depend on the
+// segmentation.
+func (d *Dense) BackwardRows(grad *Mat, rowsPerSample int) *Mat {
 	// dW += xᵀ·grad ; db += Σ_rows grad ; dx = grad·Wᵀ.
-	d.W.G.AddInPlace(MatMulATB(d.x, grad))
+	if rowsPerSample == 1 {
+		matMulATBAccInto(d.W.G, d.x, grad)
+	} else {
+		gw := NewMat(d.W.G.R, d.W.G.C)
+		for lo := 0; lo < grad.R; lo += rowsPerSample {
+			hi := min(lo+rowsPerSample, grad.R)
+			MatMulATBInto(gw, d.x.rows(lo, hi), grad.rows(lo, hi))
+			d.W.G.AddInPlace(gw)
+		}
+	}
 	for i := 0; i < grad.R; i++ {
 		row := grad.Row(i)
 		for j := range row {
@@ -270,9 +291,18 @@ func (s *Sequential) Forward(x *Mat) *Mat {
 }
 
 // Backward implements Layer.
-func (s *Sequential) Backward(grad *Mat) *Mat {
+func (s *Sequential) Backward(grad *Mat) *Mat { return s.BackwardRows(grad, grad.R) }
+
+// BackwardRows backpropagates a batch of consecutive samples of
+// rowsPerSample rows each; Dense layers segment their weight gradients
+// per sample (see Dense.BackwardRows), every other layer is row-wise.
+func (s *Sequential) BackwardRows(grad *Mat, rowsPerSample int) *Mat {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
+		if d, ok := s.Layers[i].(*Dense); ok {
+			grad = d.BackwardRows(grad, rowsPerSample)
+		} else {
+			grad = s.Layers[i].Backward(grad)
+		}
 	}
 	return grad
 }
