@@ -3,6 +3,8 @@ package aae
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"impeccable/internal/geom"
 	"impeccable/internal/nn"
@@ -75,8 +77,10 @@ type Model struct {
 	argmax []int       // per cloud and feature, the winning point
 	dH     *nn.Mat     // max-pool scatter of dL/dpooled, zero between uses
 	dOut   *nn.Mat     // dL/dreconstruction, one cloud per row
-	rec    []geom.Vec3 // one cloud's reconstruction
-	ref    []geom.Vec3 // one cloud's normalized input
+	rec    []geom.Vec3 // reconstructions, NumPoints per cloud
+	ref    []geom.Vec3 // normalized inputs, NumPoints per cloud
+	recon  []float64   // per-cloud Chamfer loss
+	grads  [][]geom.Vec3
 }
 
 // New builds an untrained model.
@@ -123,8 +127,10 @@ func (m *Model) stack(clouds [][]geom.Vec3) *nn.Mat {
 		m.argmax = make([]int, k*f)
 		m.dH = nn.NewMat(k*n, f)
 		m.dOut = nn.NewMat(k, 3*n)
-		m.rec = make([]geom.Vec3, n)
-		m.ref = make([]geom.Vec3, n)
+		m.rec = make([]geom.Vec3, k*n)
+		m.ref = make([]geom.Vec3, k*n)
+		m.recon = make([]float64, k)
+		m.grads = make([][]geom.Vec3, k)
 	}
 	x := chunkRows(m.x, len(clouds)*n)
 	inv := 1 / m.cfg.CoordScale
@@ -192,10 +198,36 @@ func vecs(dst []geom.Vec3, v []float64) []geom.Vec3 {
 	return dst
 }
 
-// cloudCoords returns cloud c's normalized coordinates in the stack.
-func (m *Model) cloudCoords(x *nn.Mat, c int) []float64 {
-	n := 3 * m.cfg.NumPoints
-	return x.V[c*n : (c+1)*n]
+// clouds returns cloud c's reconstruction (row c of the decoder output)
+// and normalized input (its rows of the stack) as points, in scratch
+// private to c.
+func (m *Model) clouds(out, x *nn.Mat, c int) (rec, ref []geom.Vec3) {
+	n := m.cfg.NumPoints
+	rec = vecs(m.rec[c*n:(c+1)*n], out.Row(c))
+	ref = vecs(m.ref[c*n:(c+1)*n], x.V[3*c*n:3*(c+1)*n])
+	return rec, ref
+}
+
+// eachCloud runs fn for every cloud of a chunk, concurrently when more
+// than one core is available. fn writes only its own cloud's results,
+// and callers reduce them in cloud order.
+func eachCloud(k int, fn func(c int)) {
+	if k == 1 || runtime.GOMAXPROCS(0) == 1 {
+		for c := 0; c < k; c++ {
+			fn(c)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for c := 1; c < k; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(c)
+		}()
+	}
+	fn(0)
+	wg.Wait()
 }
 
 // infer embeds a chunk of clouds through the inference-only path,
@@ -304,13 +336,14 @@ func (m *Model) generatorChunk(clouds [][]geom.Vec3, b float64, losses *Losses) 
 	out := m.decoder.Forward(z)
 	dOut := chunkRows(m.dOut, k)
 	s := m.cfg.ReconScale / b
+	eachCloud(k, func(c int) {
+		rec, ref := m.clouds(out, x, c)
+		m.recon[c], m.grads[c] = chamferGrad(rec, ref)
+	})
 	for c := 0; c < k; c++ {
-		rec := vecs(m.rec, out.Row(c))
-		ref := vecs(m.ref, m.cloudCoords(x, c))
-		recLoss, recGrad := chamferGrad(rec, ref)
-		losses.Recon += recLoss / b
+		losses.Recon += m.recon[c] / b
 		row := dOut.Row(c)
-		for i, g := range recGrad {
+		for i, g := range m.grads[c] {
 			row[3*i], row[3*i+1], row[3*i+2] = g.X*s, g.Y*s, g.Z*s
 		}
 	}
@@ -447,8 +480,9 @@ func (m *Model) ValidationRecon(clouds [][]geom.Vec3) float64 {
 		part := clouds[at:min(at+trainChunk, len(clouds))]
 		z, x := m.infer(part, ar)
 		out := m.decoder.Infer(z, ar)
+		eachCloud(len(part), func(c int) { m.recon[c] = Chamfer(m.clouds(out, x, c)) })
 		for c := range part {
-			s += Chamfer(vecs(m.rec, out.Row(c)), vecs(m.ref, m.cloudCoords(x, c)))
+			s += m.recon[c]
 		}
 		ar.Reset()
 	}

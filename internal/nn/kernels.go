@@ -17,7 +17,8 @@
 //     when a is finite, and a·bᵀ writes +0 rows for rows of a that are
 //     all zero when b is finite. A 0·finite term is ±0, and adding ±0
 //     changes a chain only when it is −0; a chain from +0 never is, and
-//     an accumulating aᵀ·b skips nothing while dst holds a −0.
+//     an accumulating aᵀ·b skips no row while dst holds a −0 and never
+//     skips single zero multipliers.
 //  3. Determinism: parallelism is a pure row partition; no atomics, no
 //     reductions across goroutines, no scheduling-order dependence.
 package nn
@@ -113,8 +114,9 @@ func MatMulInto(dst, a, b *Mat) *Mat {
 	if dst.R != a.R || dst.C != b.C {
 		panic(fmt.Sprintf("nn: MatMulInto dst %dx%d, want %dx%d", dst.R, dst.C, a.R, b.C))
 	}
-	// Zero multipliers from a may be skipped only while b is all-finite.
-	skipZero := allFinite(b.V)
+	// Zero multipliers from a may be skipped only while b is all-finite;
+	// b is scanned only when a has a zero to skip.
+	skipZero := hasZero(a.V) && allFinite(b.V)
 	w := kernelWorkers(a.R, int64(a.R)*int64(a.C)*int64(b.C))
 	parallelRanges(a.R, w, func(lo, hi int) {
 		matMulRows(dst, a, b, lo, hi, skipZero)
@@ -196,26 +198,35 @@ func matMulATBAccInto(dst, a, b *Mat) {
 
 func matMulATB(dst, a, b *Mat, acc bool) {
 	// Zero terms may be skipped only where they cannot change a chain:
-	// the other operand must be finite, and an accumulating dst must
-	// hold no −0 (−0 + +0 is +0, so a skipped +0 term would leave −0).
-	safe := !acc || !hasNegZero(dst.V)
-	skipZero := safe && allFinite(b.V)
-	ks := nonZeroRows(b, safe && allFinite(a.V))
+	// the other operand must be finite, and the chain must not be −0
+	// (−0 + +0 is +0, so a skipped +0 term would leave −0). A chain from
+	// +0 never is. An accumulating dst is scanned for −0 only when whole
+	// rows would be skipped, and its zero multipliers are never skipped:
+	// the scan would cost as much as the multiply for the one-row-per-
+	// sample gradients that accumulate here.
+	skipZero := !acc && allFinite(b.V)
+	ks := nonZeroRows(b)
+	if len(ks) < b.R && (!allFinite(a.V) || acc && hasNegZero(dst.V)) {
+		ks = ks[:0]
+		for k := 0; k < b.R; k++ {
+			ks = append(ks, k)
+		}
+	}
 	w := kernelWorkers(a.C, int64(len(ks))*int64(a.C)*int64(b.C))
 	parallelRanges(a.C, w, func(lo, hi int) {
 		matMulATBCols(dst, a, b, ks, lo, hi, acc, skipZero)
 	})
 }
 
-// nonZeroRows lists the rows of b that hold a nonzero element, or every
-// row when skip is false. A skipped row contributes only a·0 = ±0 terms
-// (a finite), which leave any chain that is not −0 unchanged. After the
-// AAE's max-pool scatter most gradient rows are zero, so the list is
-// usually far shorter than b.R.
-func nonZeroRows(b *Mat, skip bool) []int {
+// nonZeroRows lists the rows of b that hold a nonzero element. A row
+// left out contributes only a·0 = ±0 terms, which leave any chain that
+// is not −0 unchanged when a is finite. After the AAE's max-pool scatter
+// most gradient rows are zero, so the list is usually far shorter than
+// b.R.
+func nonZeroRows(b *Mat) []int {
 	ks := make([]int, 0, b.R)
 	for k := 0; k < b.R; k++ {
-		if !skip || !allZero(b.V[k*b.C:(k+1)*b.C]) {
+		if !allZero(b.V[k*b.C : (k+1)*b.C]) {
 			ks = append(ks, k)
 		}
 	}
@@ -283,8 +294,9 @@ func MatMulABTInto(dst, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("nn: MatMulABTInto dst %dx%d, want %dx%d", dst.R, dst.C, a.R, b.R))
 	}
 	// A row of a that is all zero yields a +0 dst row while b is finite:
-	// every term is ±0 and a chain from +0 stays +0.
-	skipZero := allFinite(b.V)
+	// every term is ±0 and a chain from +0 stays +0. b is scanned only
+	// when a has such a row.
+	skipZero := hasZeroRow(a) && allFinite(b.V)
 	w := kernelWorkers(a.R, int64(a.R)*int64(a.C)*int64(b.R))
 	parallelRanges(a.R, w, func(lo, hi int) {
 		matMulABTRows(dst, a, b, lo, hi, skipZero)
@@ -328,6 +340,26 @@ func matMulABTRows(dst, a, b *Mat, lo, hi int, skipZero bool) {
 			orow[j] = s
 		}
 	}
+}
+
+// hasZero reports whether v holds a ±0.
+func hasZero(v []float64) bool {
+	for _, x := range v {
+		if x == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// hasZeroRow reports whether some row of m is all ±0.
+func hasZeroRow(m *Mat) bool {
+	for i := 0; i < m.R; i++ {
+		if allZero(m.Row(i)) {
+			return true
+		}
+	}
+	return false
 }
 
 // allZero reports whether every element of v is ±0.

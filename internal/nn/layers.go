@@ -117,31 +117,41 @@ func (d *Dense) Infer(x *Mat, ar *Arena) *Mat {
 // ReLU is the rectified linear activation.
 type ReLU struct{ mask []bool }
 
-// Forward implements Layer.
+// keepBits is all ones when keep is set and zero otherwise: ANDed with
+// a float's bits it yields the float or +0 without a data-dependent
+// branch (ReLU inputs are positive at random, which a branch mispredicts
+// half the time).
+func keepBits(keep bool) uint64 {
+	var m uint64
+	if keep {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// Forward implements Layer. v <= 0 is false for NaN, which passes
+// through; every other input at or below zero becomes +0.
 func (a *ReLU) Forward(x *Mat) *Mat {
-	out := x.Clone()
+	out := NewMat(x.R, x.C)
 	if cap(a.mask) < len(out.V) {
 		a.mask = make([]bool, len(out.V))
 	}
 	a.mask = a.mask[:len(out.V)]
-	for i, v := range out.V {
-		if v <= 0 {
-			out.V[i] = 0
-			a.mask[i] = false
-		} else {
-			a.mask[i] = true
-		}
+	mask, o := a.mask, out.V[:len(x.V)]
+	for i, v := range x.V {
+		keep := !(v <= 0)
+		mask[i] = keep
+		o[i] = math.Float64frombits(math.Float64bits(v) & keepBits(keep))
 	}
 	return out
 }
 
 // Backward implements Layer.
 func (a *ReLU) Backward(grad *Mat) *Mat {
-	out := grad.Clone()
-	for i := range out.V {
-		if !a.mask[i] {
-			out.V[i] = 0
-		}
+	out := NewMat(grad.R, grad.C)
+	mask, o := a.mask[:len(grad.V)], out.V[:len(grad.V)]
+	for i, g := range grad.V {
+		o[i] = math.Float64frombits(math.Float64bits(g) & keepBits(mask[i]))
 	}
 	return out
 }
@@ -149,16 +159,12 @@ func (a *ReLU) Backward(grad *Mat) *Mat {
 // Params implements Layer.
 func (a *ReLU) Params() []*Param { return nil }
 
-// Infer implements Inferencer. Uses Forward's v <= 0 test so NaN inputs
-// pass through unchanged on both paths.
+// Infer implements Inferencer, with Forward's arithmetic.
 func (a *ReLU) Infer(x *Mat, ar *Arena) *Mat {
 	out := ar.Mat(x.R, x.C)
+	o := out.V[:len(x.V)]
 	for i, v := range x.V {
-		if v <= 0 {
-			out.V[i] = 0
-		} else {
-			out.V[i] = v
-		}
+		o[i] = math.Float64frombits(math.Float64bits(v) & keepBits(!(v <= 0)))
 	}
 	return out
 }
