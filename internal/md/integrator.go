@@ -140,7 +140,8 @@ func Minimize(s *System, maxIters int, ftol float64) float64 {
 			// f is the System's force buffer, which the energy call
 			// above just overwrote with the forces at the rejected
 			// positions, so this does not restore the pre-step
-			// positions (ROADMAP item 11).
+			// positions. A fix must keep the pre-step forces or
+			// positions, and regenerate the science goldens.
 			for i := range s.Pos {
 				s.Pos[i] = s.Pos[i].Sub(f[i].Scale(scale))
 			}

@@ -65,7 +65,7 @@ func (d *Dense) Forward(x *Mat) *Mat {
 
 // Backward implements Layer, treating the whole batch as one sample:
 // dW gets one aᵀ·b chain over all rows, added to W.G.
-func (d *Dense) Backward(grad *Mat) *Mat { return d.BackwardRows(grad, grad.R) }
+func (d *Dense) Backward(grad *Mat) *Mat { return d.BackwardRows(grad, max(grad.R, 1)) }
 
 // BackwardRows backpropagates a batch of consecutive samples of
 // rowsPerSample rows each, with the gradient sums segmented per sample:
@@ -77,6 +77,9 @@ func (d *Dense) Backward(grad *Mat) *Mat { return d.BackwardRows(grad, grad.R) }
 // gradient and dx are row by row, so they never depend on the
 // segmentation.
 func (d *Dense) BackwardRows(grad *Mat, rowsPerSample int) *Mat {
+	if rowsPerSample < 1 {
+		panic(fmt.Sprintf("nn: Dense.BackwardRows with %d rows per sample", rowsPerSample))
+	}
 	// dW += xᵀ·grad ; db += Σ_rows grad ; dx = grad·Wᵀ.
 	if rowsPerSample == 1 {
 		matMulATBAccInto(d.W.G, d.x, grad)
@@ -84,7 +87,7 @@ func (d *Dense) BackwardRows(grad *Mat, rowsPerSample int) *Mat {
 		gw := NewMat(d.W.G.R, d.W.G.C)
 		for lo := 0; lo < grad.R; lo += rowsPerSample {
 			hi := min(lo+rowsPerSample, grad.R)
-			MatMulATBInto(gw, d.x.rows(lo, hi), grad.rows(lo, hi))
+			MatMulATBInto(gw, d.x.Rows(lo, hi), grad.Rows(lo, hi))
 			d.W.G.AddInPlace(gw)
 		}
 	}
@@ -297,7 +300,7 @@ func (s *Sequential) Forward(x *Mat) *Mat {
 }
 
 // Backward implements Layer.
-func (s *Sequential) Backward(grad *Mat) *Mat { return s.BackwardRows(grad, grad.R) }
+func (s *Sequential) Backward(grad *Mat) *Mat { return s.BackwardRows(grad, max(grad.R, 1)) }
 
 // BackwardRows backpropagates a batch of consecutive samples of
 // rowsPerSample rows each; Dense layers segment their weight gradients

@@ -54,8 +54,8 @@ func (m *Mat) Set(i, j int, v float64) { m.V[i*m.C+j] = v }
 // Row returns a view of row i (shared storage).
 func (m *Mat) Row(i int) []float64 { return m.V[i*m.C : (i+1)*m.C] }
 
-// rows returns a view of rows [lo, hi) (shared storage).
-func (m *Mat) rows(lo, hi int) *Mat {
+// Rows returns a view of rows [lo, hi) (shared storage).
+func (m *Mat) Rows(lo, hi int) *Mat {
 	return &Mat{R: hi - lo, C: m.C, V: m.V[lo*m.C : hi*m.C]}
 }
 
