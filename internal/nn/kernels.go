@@ -204,7 +204,7 @@ func matMulATB(dst, a, b *Mat, acc bool) {
 	// rows would be skipped, and its zero multipliers are never skipped:
 	// the scan would cost as much as the multiply for the one-row-per-
 	// sample gradients that accumulate here.
-	skipZero := !acc && allFinite(b.V)
+	skipZero := !acc && hasZero(a.V) && allFinite(b.V)
 	ks := nonZeroRows(b)
 	if len(ks) < b.R && (!allFinite(a.V) || acc && hasNegZero(dst.V)) {
 		ks = ks[:0]
