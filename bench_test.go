@@ -13,7 +13,6 @@ package impeccable
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"impeccable/internal/campaign"
@@ -531,65 +530,6 @@ func BenchmarkAblation_WorkerFailures(b *testing.B) {
 }
 
 func mathexp(x float64) float64 { return math.Exp(x) }
-
-// BenchmarkStreamingVsSequential compares the wall-clock of the
-// sequential funnel front (s1-train → ml1-train → ml1-screen → s1-dock
-// as barriers) against the streaming dataflow, which overlaps the
-// resample docks with ML1 training and the running-top-K docks with the
-// screen. The acceptance claim: on a multi-core box the streaming
-// front's wall-clock is strictly below the sum of the sequential ML1+S1
-// stage timings. Scientific output is asserted identical — only the
-// schedule may differ.
-func BenchmarkStreamingVsSequential(b *testing.B) {
-	cfg := campaign.DefaultConfig(receptor.PLPro())
-	cfg.LibrarySize = 2400
-	cfg.TrainSize = 200
-	cfg.CGCount = 4
-	cfg.TopCompounds = 2
-	cfg.OutliersPer = 2
-	cfg.FastProtocols = true
-	p := dock.DefaultParams()
-	p.Runs = 1
-	p.Generations = 10
-	p.Population = 24
-	cfg.DockParams = &p
-
-	front := []string{"s1-train", "ml1-train", "ml1-screen", "s1-dock"}
-	for i := 0; i < b.N; i++ {
-		seq, err := campaign.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		str, err := campaign.RunStreaming(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if seq.Funnel.Counts() != str.Funnel.Counts() {
-			b.Fatalf("streaming diverged from sequential:\n  %+v\n  %+v",
-				seq.Funnel.Counts(), str.Funnel.Counts())
-		}
-
-		seqSum := seq.Funnel.StageSeconds(front...)
-		_, strEnd, ok := str.Funnel.StageWindow(front...)
-		if !ok {
-			b.Fatal("streaming path recorded no front-stage timings")
-		}
-		b.ReportMetric(seqSum, "seq-ml1+s1-s")
-		b.ReportMetric(strEnd, "stream-ml1+s1-s")
-		b.ReportMetric(seqSum/strEnd, "front-speedup")
-		b.ReportMetric(str.Funnel.OverlapRatio, "overlap-ratio")
-		b.ReportMetric(float64(str.Funnel.SpeculativeDocks), "speculative-docks")
-		b.Logf("sequential front %.2fs (sum of barriers), streaming front %.2fs, overlap ratio %.2f, %d speculative docks (%d evals) on %d cores",
-			seqSum, strEnd, str.Funnel.OverlapRatio,
-			str.Funnel.SpeculativeDocks, str.Funnel.SpeculativeEvals, runtime.NumCPU())
-		// On a single core there is no idle to fill, and speculation can
-		// only add work; the acceptance claim is about parallel hardware.
-		if runtime.NumCPU() >= 4 && strEnd >= seqSum {
-			b.Errorf("streaming front %.3fs not below sequential ML1+S1 sum %.3fs on %d cores",
-				strEnd, seqSum, runtime.NumCPU())
-		}
-	}
-}
 
 // BenchmarkTransfer_OZDtoORD reproduces the §7.1 library-transfer
 // experiment: the ORD library was "chosen ... for the purposes of testing

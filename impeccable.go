@@ -39,7 +39,7 @@ type (
 	// per-stage wall-clock timings and overlap ratio.
 	FunnelStats = campaign.FunnelStats
 	// FunnelCounts is the path-invariant projection of FunnelStats
-	// (identical across the sequential, EnTK and streaming paths).
+	// (identical across the sequential and EnTK drivers).
 	FunnelCounts = campaign.FunnelCounts
 	// SimConfig sizes a Summit-scale simulated run (Fig. 7).
 	SimConfig = campaign.SimConfig
@@ -71,12 +71,11 @@ func RunCampaign(cfg Config) (*Result, error) { return campaign.Run(cfg) }
 // adaptivity that appends the FG stage from S2's selections.
 func RunCampaignViaEnTK(cfg Config) (*Result, error) { return campaign.RunViaEnTK(cfg) }
 
-// RunCampaignStreaming executes the same funnel as a streaming dataflow:
-// ML1 screening and S1 docking overlap through bounded channels, with
-// byte-identical scientific output (equivalent to setting cfg.Streaming
-// and calling RunCampaign). FunnelStats.Timings and OverlapRatio report
-// the realized schedule.
-func RunCampaignStreaming(cfg Config) (*Result, error) { return campaign.RunStreaming(cfg) }
+// RunCampaignStreaming runs RunCampaign; the streaming dataflow it
+// selected was removed.
+//
+// Deprecated: use RunCampaign.
+func RunCampaignStreaming(cfg Config) (*Result, error) { return RunCampaign(cfg) }
 
 // RunIterations executes n successive campaign iterations with the
 // surrogate retrained each round on all accumulated docking labels (the

@@ -1,8 +1,8 @@
 // Package analysis is the project-invariant static-analysis suite
 // behind cmd/impeccable-vet. The reproduction's headline guarantee —
-// byte-identical science across the sequential, EnTK and streaming
-// paths, and across crash/restart/worker-kill reruns — rests on
-// invariants that ordinary tests cannot pin down exhaustively: all
+// byte-identical science across the sequential and EnTK drivers, and
+// across crash/restart/worker-kill reruns — rests on invariants that
+// ordinary tests cannot pin down exhaustively: all
 // randomness flows through xrand.RNG, all schedulable time through
 // hpc.Clock, terminal job-state transitions journal before they apply,
 // and the scheduler/job/bus mutexes nest in one fixed order. This

@@ -3,20 +3,19 @@ package campaign
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 
 	"impeccable/internal/chem"
-	"impeccable/internal/deepdrive"
 	"impeccable/internal/dock"
 	"impeccable/internal/entk"
 	"impeccable/internal/esmacs"
 	"impeccable/internal/geom"
 	"impeccable/internal/hpc"
 	"impeccable/internal/pilot"
-	"impeccable/internal/surrogate"
 	"impeccable/internal/xrand"
 )
+
+// dockChunk is how many ligands one EnTK docking task docks.
+const dockChunk = 32
 
 // RunViaEnTK executes the same funnel as Run, but codified exactly as the
 // paper deploys it (§6.1): an EnTK pipeline whose stages hold the
@@ -26,17 +25,14 @@ import (
 // expressed as a PostExec hook that appends the FG stage from S2's
 // selections at runtime.
 //
-// The scientific results are produced by the same engines as Run; what
-// this path exercises is the production programming model: PST
-// composition, pilot bin-packing, task concurrency limits and the
-// runtime adaptivity the paper's §5.2.1 lists as an EnTK requirement.
+// The science comes from the same stage helpers as Run's, so results,
+// funnel counts and per-component flops are identical; what this path
+// exercises is the production programming model: PST composition, pilot
+// bin-packing, task concurrency limits and the runtime adaptivity the
+// paper's §5.2.1 lists as an EnTK requirement.
 func RunViaEnTK(cfg Config) (*Result, error) {
-	if cfg.Target == nil {
-		return nil, fmt.Errorf("campaign: nil target")
-	}
-	if cfg.LibrarySize < 10 || cfg.TrainSize < 10 {
-		return nil, fmt.Errorf("campaign: library/train sizes too small (%d/%d)",
-			cfg.LibrarySize, cfg.TrainSize)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cores := cfg.Workers
 	if cores <= 0 {
@@ -46,83 +42,44 @@ func RunViaEnTK(cfg Config) (*Result, error) {
 	// pilot bounds real concurrency.
 	platform := hpc.Platform{Name: "localhost", Nodes: 1,
 		Spec: hpc.NodeSpec{Cores: cores}}
-	clock := hpc.NewRealClock()
-	pl := pilot.NewPilot(platform, clock, &pilot.RealExecutor{})
+	pl := pilot.NewPilot(platform, hpc.NewRealClock(), &pilot.RealExecutor{})
 	am := entk.NewAppManager(pl)
 
 	res := &Result{Counter: hpc.NewFlopCounter()}
-	pl.Counter = res.Counter
 	clk := newFunnelClock()
 	r := xrand.New(cfg.Seed)
 	lib := chem.NewLibrary("OZD", cfg.Seed^0x11B, 0, cfg.LibrarySize)
+	ids := libraryIDs(lib)
 
-	eng := dock.NewEngine(cfg.Target, cfg.Seed^0xD0C)
-	if cfg.DockParams != nil {
-		eng.Params = *cfg.DockParams
-	} else {
-		eng.Params.Runs = 2
-	}
+	eng := newFunnelEngine(&cfg)
 	eng.Workers = 1 // the pilot provides the parallelism
-	eng.Cache = cfg.DockCache
-
-	var mu sync.Mutex // guards the shared state below across task Fns
-	trainIDs := lib.Sample(r, min(cfg.TrainSize, lib.Size()))
-	trainMols := materialize(trainIDs)
-	trainScores := make([]float64, len(trainMols))
-
-	model := surrogate.NewModel(cfg.Seed ^ 0x111)
-	var dockMols []*chem.Molecule
-	var cgMols []*chem.Molecule
-	var cgPoses [][]geom.Vec3
-
-	runner := esmacs.NewRunner(cfg.Target, cfg.Seed^0xE5)
-	runner.Workers = 1
-	runner.KeepTrajectories = true
-	cgProto := esmacs.CG()
-	fgProto := esmacs.FG()
-	if cfg.FastProtocols {
-		cgProto = fastProto(cgProto, 40, 200)
-		fgProto = fastProto(fgProto, 80, 500)
-	}
-
+	runner, cgProto, fgProto := newESMACS(&cfg, 1)
 	// ESMACS ensembles prefer 2 cores but must stay placeable on small
 	// hosts — an over-declared task is unsatisfiable and fails fatally.
 	esCores := min(2, cores)
 
+	// Written by one stage's tasks or hook and read by later stages: the
+	// pipeline orders them, so no lock is needed.
+	trainMols := materialize(lib.Sample(r, min(cfg.TrainSize, lib.Size())))
+	trainDocks := make([]dock.Result, len(trainMols))
+	var (
+		trainScores []float64
+		dockMols    []*chem.Molecule
+		cgMols      []*chem.Molecule
+		topEsts     []esmacs.Estimate
+		runErr      error
+	)
+
 	pipe := entk.NewPipeline("impeccable")
 
 	// --- Stage 1: offline docking of the training sample, chunked. ---
-	s1train := entk.NewStage("S1-train")
-	s1train.PostExec = func(p *entk.Pipeline) { clk.mark("s1-train") }
-	const chunk = 32
-	for at := 0; at < len(trainMols); at += chunk {
-		end := at + chunk
-		if end > len(trainMols) {
-			end = len(trainMols)
-		}
-		at, end := at, end
-		s1train.AddTask(&entk.Task{
-			Name: fmt.Sprintf("dock-train-%d", at), Cores: 1, Component: "S1",
-			Fn: func() {
-				for i := at; i < end; i++ {
-					if cfg.canceled() {
-						return
-					}
-					d := eng.DockOne(trainMols[i])
-					mu.Lock()
-					trainScores[i] = d.Score
-					res.Funnel.DockEvals += d.Evals
-					if d.Cached {
-						res.Funnel.DockCacheHits++
-					}
-					mu.Unlock()
-				}
-			},
-		})
+	s1train := dockStage("S1-train", &cfg, eng, trainMols, trainDocks)
+	s1train.PostExec = func(p *entk.Pipeline) {
+		clk.mark("s1-train")
+		trainScores = tallyDocks(res, trainDocks)
 	}
 
 	// --- Stage 2: ML1 training + library screening + selection. ---
-	var fitErr error
 	ml1 := entk.NewStage("ML1")
 	ml1.AddTask(&entk.Task{
 		Name: "train+screen", Cores: cores, Component: "ML1",
@@ -131,189 +88,101 @@ func RunViaEnTK(cfg Config) (*Result, error) {
 			if cfg.canceled() {
 				return
 			}
-			rep, err := model.Fit(trainMols, trainScores, surrogate.DefaultTrainConfig())
+			model, err := fitSurrogate(&cfg, res, trainMols, trainScores, nil)
 			if err != nil {
-				mu.Lock()
-				fitErr = err
-				mu.Unlock()
+				runErr = err
 				return
 			}
-			mu.Lock()
-			res.TrainReport = rep
-			res.Model = model
-			mu.Unlock()
 			clk.mark("ml1-train") // train/screen boundary inside the one ML1 task
-			ids := libraryIDs(lib)
-			preds := model.PredictIDsFrom(ids, cores, cfg.Features)
-			idx := selectDockIdx(&cfg, preds, 0)
-			mu.Lock()
-			res.Funnel.Screened = len(ids)
-			for _, i := range idx {
-				dockMols = append(dockMols, chem.FromID(ids[i]))
-			}
-			mu.Unlock()
+			dockMols = screen(&cfg, res, model, ids, cores, 0)
 		},
 	})
 
-	// --- Stage 3: production docking. Tasks are added by the ML1
-	// stage's PostExec (the selection is only known at runtime). ---
+	// --- Stage 3: production docking. Each later stage is added by its
+	// predecessor's PostExec, since its tasks are only known at runtime. ---
 	ml1.PostExec = func(p *entk.Pipeline) {
 		clk.mark("ml1-screen")
-		if cfg.canceled() {
+		if cfg.canceled() || runErr != nil {
 			return // stop appending stages; Wait drains what's in flight
 		}
 		cfg.progress("s1-dock", 0.45)
-		s1 := entk.NewStage("S1")
-		mu.Lock()
-		mols := dockMols
-		mu.Unlock()
-		results := make([]dock.Result, len(mols))
-		for at := 0; at < len(mols); at += chunk {
-			end := at + chunk
-			if end > len(mols) {
-				end = len(mols)
-			}
-			at, end := at, end
-			s1.AddTask(&entk.Task{
-				Name: fmt.Sprintf("dock-%d", at), Cores: 1, Component: "S1",
-				Fn: func() {
-					for i := at; i < end; i++ {
-						if cfg.canceled() {
-							return
-						}
-						results[i] = eng.DockOne(mols[i])
-					}
-				},
-			})
-		}
-		// After docking: diversity selection feeds the CG stage.
+		res.DockResults = make([]dock.Result, len(dockMols))
+		s1 := dockStage("S1", &cfg, eng, dockMols, res.DockResults)
+
+		// --- Stage 4: S3-CG over the diverse docking winners. ---
 		s1.PostExec = func(p *entk.Pipeline) {
 			clk.mark("s1-dock")
 			if cfg.canceled() {
 				return
 			}
 			cfg.progress("s3-cg", 0.60)
-			mu.Lock()
-			res.DockResults = results
-			res.Funnel.Docked = len(results) + len(trainMols)
-			for _, d := range results {
-				res.Funnel.DockEvals += d.Evals
-				if d.Cached {
-					res.Funnel.DockCacheHits++
-				}
-			}
-			best := surrogate.BottomK(scoresOf(results), min(cfg.CGCount*3, len(results)))
-			cands := make([]*chem.Molecule, len(best))
-			for i, j := range best {
-				cands[i] = mols[best[i]]
-				_ = j
-			}
-			for _, j := range chem.MaxMinDiverse(cands, min(cfg.CGCount, len(cands)), 0) {
-				cgMols = append(cgMols, cands[j])
-				cgPoses = append(cgPoses, dockedPose(cfg.Target, cands[j], results[best[j]]))
-			}
-			localCG := cgMols
-			localPoses := cgPoses
-			mu.Unlock()
-
+			res.Funnel.Docked = len(res.DockResults) + len(trainDocks)
+			tallyDocks(res, res.DockResults)
+			var cgPoses [][]geom.Vec3
+			cgMols, cgPoses = selectCG(&cfg, dockMols, res.DockResults)
+			res.CGEstimates = make([]esmacs.Estimate, len(cgMols))
 			cg := entk.NewStage("S3-CG")
-			ests := make([]esmacs.Estimate, len(localCG))
-			for i := range localCG {
-				i := i
+			for i := range cgMols {
 				cg.AddTask(&entk.Task{
 					Name: fmt.Sprintf("esmacs-cg-%d", i), Cores: esCores, Component: "S3-CG",
 					Fn: func() {
-						ests[i] = runner.Estimate(localCG[i], localPoses[i], cgProto)
+						if cfg.canceled() {
+							return
+						}
+						est := runner.Estimate(cgMols[i], cgPoses[i], cgProto)
+						res.CGEstimates[i] = est
+						res.Counter.Add("S3-CG", est.Flops, 0, 1)
 					},
 				})
 			}
+
+			// --- Stage 5: S2 over the top CG compounds. ---
 			cg.PostExec = func(p *entk.Pipeline) {
 				clk.mark("s3-cg")
 				if cfg.canceled() {
 					return
 				}
 				cfg.progress("s2", 0.80)
-				mu.Lock()
-				res.CGEstimates = ests
-				sort.Slice(res.CGEstimates, func(a, b int) bool {
-					return res.CGEstimates[a].DeltaG < res.CGEstimates[b].DeltaG
-				})
 				res.Funnel.CG = len(res.CGEstimates)
-				topEsts := res.CGEstimates[:min(cfg.TopCompounds, len(res.CGEstimates))]
-				mu.Unlock()
-
+				topEsts = rankCG(&cfg, res)
 				s2 := entk.NewStage("S2")
 				s2.AddTask(&entk.Task{
 					Name: "deepdrivemd", Cores: cores, Component: "S2",
 					Fn: func() {
-						driver := deepdrive.NewDriver(cfg.Target)
-						driver.Cfg.Seed = cfg.Seed ^ 0x52
-						driver.Cfg.OutliersPerLigand = cfg.OutliersPer
-						if cfg.FastProtocols {
-							driver.Cfg.Epochs = 4
-							driver.Cfg.MaxFrames = 240
+						if !cfg.canceled() {
+							_, runErr = runS2(&cfg, res, topEsts)
 						}
-						rep, err := driver.Run(topEsts)
-						mu.Lock()
-						if err != nil {
-							fitErr = err
-						} else {
-							res.S2Report = rep
-							res.Funnel.S2Frames = rep.Frames
-						}
-						mu.Unlock()
 					},
 				})
-				// Adaptive hand-off: the FG stage is appended only after
-				// S2 produced its selections (§5.2.1 adaptivity).
+
+				// --- Stage 6, the adaptive hand-off: the FG stage is
+				// appended only after S2 produced its selections
+				// (§5.2.1 adaptivity). ---
 				s2.PostExec = func(p *entk.Pipeline) {
 					clk.mark("s2")
-					if cfg.canceled() {
+					if cfg.canceled() || runErr != nil {
 						return
 					}
 					cfg.progress("s3-fg", 0.90)
-					mu.Lock()
-					rep := res.S2Report
-					mu.Unlock()
-					if rep == nil {
-						return
-					}
+					sels := res.S2Report.Selections
+					res.FGEstimates = make([]esmacs.Estimate, len(sels))
 					fg := entk.NewStage("S3-FG")
-					fgEsts := make([]esmacs.Estimate, len(rep.Selections))
-					for i, sel := range rep.Selections {
-						i, sel := i, sel
+					for i, sel := range sels {
 						fg.AddTask(&entk.Task{
 							Name: fmt.Sprintf("esmacs-fg-%d", i), Cores: esCores, Component: "S3-FG",
 							Fn: func() {
-								fgEsts[i] = runner.Estimate(
-									chem.FromID(sel.Ref.MolID), sel.Ligand, fgProto)
+								if cfg.canceled() {
+									return
+								}
+								est := runner.Estimate(chem.FromID(sel.Ref.MolID), sel.Ligand, fgProto)
+								res.FGEstimates[i] = est
+								res.Counter.Add("S3-FG", est.Flops, 0, 1)
 							},
 						})
 					}
 					fg.PostExec = func(p *entk.Pipeline) {
 						clk.mark("s3-fg")
-						mu.Lock()
-						defer mu.Unlock()
-						res.FGEstimates = fgEsts
-						res.Funnel.FG = len(fgEsts)
-						bestFG := map[uint64]esmacs.Estimate{}
-						for _, est := range fgEsts {
-							if prev, ok := bestFG[est.MolID]; !ok || est.DeltaG < prev.DeltaG {
-								bestFG[est.MolID] = est
-							}
-						}
-						for _, est := range topEsts {
-							fge, ok := bestFG[est.MolID]
-							if !ok {
-								continue
-							}
-							res.Top = append(res.Top, TopComparison{
-								MolID: est.MolID,
-								CG:    est.DeltaG, CGErr: est.StdErr,
-								FG: fge.DeltaG, FGErr: fge.StdErr,
-								Truth: cfg.Target.TrueAffinity(chem.FromID(est.MolID)),
-							})
-						}
+						res.Funnel.FG = len(res.FGEstimates)
 					}
 					p.AddStage(fg)
 				}
@@ -332,8 +201,8 @@ func RunViaEnTK(cfg Config) (*Result, error) {
 	if cfg.canceled() {
 		return nil, ErrCanceled
 	}
-	if fitErr != nil {
-		return nil, fmt.Errorf("campaign: entk run: %w", fitErr)
+	if runErr != nil {
+		return nil, runErr
 	}
 	// A task the pilot rejected as unsatisfiable "completed" without
 	// running its Fn; surfacing it here keeps its zero-valued output
@@ -342,9 +211,31 @@ func RunViaEnTK(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("campaign: entk run: %d tasks failed (first: %s: %v)",
 			len(failed), failed[0].Name, failed[0].Err)
 	}
-	res.ScientificYield = yield(cfg.Target, libraryIDs(lib), cgMols)
+	res.Top = compareTop(cfg.Target, topEsts, res.FGEstimates)
+	res.ScientificYield = yield(cfg.Target, ids, cgMols)
 	res.PilotTrace = pl.UtilizationTrace()
 	clk.finish(&res.Funnel)
 	cfg.progress("done", 1.0)
 	return res, nil
+}
+
+// dockStage builds an EnTK stage of single-core tasks that dock mols
+// into out, dockChunk ligands per task.
+func dockStage(name string, cfg *Config, eng *dock.Engine, mols []*chem.Molecule, out []dock.Result) *entk.Stage {
+	s := entk.NewStage(name)
+	for at := 0; at < len(mols); at += dockChunk {
+		end := min(at+dockChunk, len(mols))
+		s.AddTask(&entk.Task{
+			Name: fmt.Sprintf("dock-%d", at), Cores: 1, Component: "S1",
+			Fn: func() {
+				for i := at; i < end; i++ {
+					if cfg.canceled() {
+						return
+					}
+					out[i] = eng.DockOne(mols[i])
+				}
+			},
+		})
+	}
+	return s
 }

@@ -143,13 +143,6 @@ func penetrationGradient(s *System, x geom.Vec3) geom.Vec3 {
 	return x.Unit().Scale(-1)
 }
 
-// PotentialEnergy returns the decomposition without touching forces
-// (convenience for estimators that only need energies).
-func (s *System) PotentialEnergy() Energies {
-	_, e := s.Forces()
-	return e
-}
-
 // KineticEnergy returns ½ Σ m v².
 func (s *System) KineticEnergy() float64 {
 	var ke float64

@@ -195,11 +195,6 @@ func (s *System) LigandRMSD() float64 {
 	return geom.RMSD(s.Pos[s.NProt:], s.startLigand)
 }
 
-// ProteinRMSD returns the RMSD of the Cα trace to its reference.
-func (s *System) ProteinRMSD() float64 {
-	return geom.RMSD(s.Pos[:s.NProt], s.proteinRef)
-}
-
 // ContactCount returns the number of protein-ligand bead pairs within
 // cutoff: the paper's pragmatic LPC stability measure (§5.1.4, "number of
 // heavy atom contacts between the protein and the ligand").

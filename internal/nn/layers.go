@@ -42,14 +42,6 @@ func NewDense(in, out int, r *xrand.RNG) *Dense {
 	return d
 }
 
-// NewDenseXavier builds an in→out dense layer with Xavier initialization
-// (tanh/sigmoid-friendly).
-func NewDenseXavier(in, out int, r *xrand.RNG) *Dense {
-	d := &Dense{W: NewParam(in, out), B: NewParam(1, out)}
-	d.W.XavierInit(r)
-	return d
-}
-
 // Forward implements Layer.
 func (d *Dense) Forward(x *Mat) *Mat {
 	d.x = x

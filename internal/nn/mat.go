@@ -118,15 +118,6 @@ func (m *Mat) ScaleInPlace(s float64) {
 	}
 }
 
-// FrobeniusNorm returns the Frobenius norm.
-func (m *Mat) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.V {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Param is a trainable tensor with its gradient accumulator.
 type Param struct {
 	W *Mat // value
@@ -136,14 +127,6 @@ type Param struct {
 // NewParam allocates a zero parameter of the given shape.
 func NewParam(r, c int) *Param {
 	return &Param{W: NewMat(r, c), G: NewMat(r, c)}
-}
-
-// XavierInit fills p.W with Glorot-uniform values for fan-in/fan-out.
-func (p *Param) XavierInit(r *xrand.RNG) {
-	limit := math.Sqrt(6.0 / float64(p.W.R+p.W.C))
-	for i := range p.W.V {
-		p.W.V[i] = r.Range(-limit, limit)
-	}
 }
 
 // HeInit fills p.W with He-normal values (ReLU-friendly).

@@ -35,11 +35,8 @@ type arenaSlab struct {
 	class int // pool class, or -1 for oversized one-off allocations
 }
 
-// NewArena returns an empty arena (equivalent to &Arena{}; provided for
-// symmetry with GetArena).
-func NewArena() *Arena { return &Arena{} }
-
-// GetArena fetches a pooled arena. Pair with Release.
+// GetArena fetches a pooled arena (a fresh &Arena{} works too). Pair
+// with Release.
 func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 
 // Release resets the arena and returns it to the shared pool. The

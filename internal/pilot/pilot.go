@@ -197,20 +197,14 @@ func (p *Pilot) sample() {
 }
 
 // Wait blocks until no tasks are queued or running. With a SimExecutor,
-// the caller must drive the SimClock from another goroutine — or use
-// Drain for the common single-threaded pattern.
+// the caller must drive the SimClock from another goroutine, or run
+// the clock to quiescence itself (SimClock.Run) instead of waiting.
 func (p *Pilot) Wait() {
 	p.mu.Lock()
 	for p.running > 0 || len(p.queue) > 0 {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
-}
-
-// Drain runs the simulation clock to quiescence (SimExecutor pattern) and
-// returns the final simulated time.
-func (p *Pilot) Drain(clock *hpc.SimClock) float64 {
-	return clock.Run()
 }
 
 // Idle reports whether the pilot has no queued or running tasks.

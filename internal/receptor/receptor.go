@@ -150,19 +150,6 @@ func PLPro() *Target { return StandardTargets()[1] }
 // landscape dynamics sees).
 func (t *Target) Wells() []Well { return t.wells }
 
-// DockableWells returns the subsites visible in the rigid crystal
-// structure — the landscape docking scores against. Cryptic subsites are
-// excluded.
-func (t *Target) DockableWells() []Well {
-	out := make([]Well, 0, len(t.wells))
-	for _, w := range t.wells {
-		if !w.Cryptic {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // PocketCenter returns the cavity center; the docking search box and MD
 // funnel potential are anchored here.
 func (t *Target) PocketCenter() geom.Vec3 { return t.pocketCenter }

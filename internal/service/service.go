@@ -39,11 +39,6 @@ type Options struct {
 	// Targets are the receptors the service accepts campaigns against;
 	// nil means receptor.StandardTargets().
 	Targets []*receptor.Target
-	// Streaming routes every job through the streaming funnel
-	// (campaign.Config.Streaming): ML1 screening and S1 docking overlap,
-	// and the sharded score/feature caches are read and populated
-	// mid-stream. Individual submissions can also opt in per job.
-	Streaming bool
 	// StateDir, when non-empty, makes the service crash-safe: job
 	// lifecycle events are written ahead to segmented
 	// <StateDir>/journal-<seq>.jsonl files (fsynced per batch), large
@@ -136,9 +131,8 @@ type Service struct {
 	features   *FeatureCache
 	targets    map[string]*receptor.Target
 	sched      *scheduler
-	workers    int  // per-campaign worker width
-	maxResults int  // full campaign results retained; <0 = unbounded
-	streaming  bool // route all jobs through the streaming funnel
+	workers    int // per-campaign worker width
+	maxResults int // full campaign results retained; <0 = unbounded
 	started    time.Time
 	met        *metrics
 	logf       func(format string, args ...any)
@@ -183,9 +177,9 @@ type SubmitRequest struct {
 	Seed          uint64 `json:"seed,omitempty"`
 	LibOffset     uint64 `json:"lib_offset,omitempty"` // library window start
 	FastProtocols bool   `json:"fast_protocols,omitempty"`
-	// Streaming opts this job into the streaming funnel (overlapped ML1
-	// screening and S1 docking); implied when the service itself was
-	// built with Options.Streaming.
+	// Streaming is accepted and ignored: it selected a funnel driver
+	// that was removed. It stays so strict decoding still accepts old
+	// clients' requests and journaled requests re-hash unchanged.
 	Streaming bool `json:"streaming,omitempty"`
 }
 
@@ -246,7 +240,6 @@ func Open(opts Options) (*Service, error) {
 		targets:    make(map[string]*receptor.Target, len(targets)),
 		workers:    opts.CampaignWorkers,
 		maxResults: maxResults,
-		streaming:  opts.Streaming,
 		started:    time.Now(),
 		met:        newMetrics(),
 		logf:       opts.Logf,
@@ -493,7 +486,6 @@ func BaseConfig(req SubmitRequest, t *receptor.Target) campaign.Config {
 		cfg.Seed = req.Seed
 	}
 	cfg.FastProtocols = req.FastProtocols
-	cfg.Streaming = req.Streaming
 	return cfg
 }
 
@@ -630,10 +622,9 @@ func (s *Service) retainFull(id string) {
 	}
 }
 
-// LeaseGrant is what a worker receives from Lease: the job, its
-// full submission (Seed and LibOffset included, Streaming resolved
-// against the service-wide option) and the lease window. The worker
-// must heartbeat before ExpiresAt or the job is re-enqueued.
+// LeaseGrant is what a worker receives from Lease: the job, its full
+// submission (Seed and LibOffset included) and the lease window. The
+// worker must heartbeat before ExpiresAt or the job is re-enqueued.
 type LeaseGrant struct {
 	JobID      string        `json:"job_id"`
 	Req        SubmitRequest `json:"req"`
@@ -663,9 +654,6 @@ func (s *Service) Lease(workerID string, ttl time.Duration) (*LeaseGrant, error)
 		Token:      j.leaseToken,
 	}
 	j.mu.Unlock()
-	// Resolve the service-wide streaming option into the shipped
-	// request so the worker reproduces the coordinator's execution path.
-	grant.Req.Streaming = grant.Req.Streaming || s.streaming
 	return grant, nil
 }
 

@@ -3,7 +3,6 @@ package surrogate
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -70,62 +69,6 @@ func TestTopKTieBreakByIndex(t *testing.T) {
 	for i := range wantB {
 		if gotB[i] != wantB[i] {
 			t.Fatalf("BottomK = %v, want %v", gotB, wantB)
-		}
-	}
-}
-
-// TestRunningTopKTiesMatchTopK pins the duplicate-score contract between
-// the streaming and batch selectors: RunningTopK's `score <= root`
-// rejection guarantees the kept score multiset equals TopK's, and every
-// index scoring strictly above the selection boundary is kept by both.
-// Exactly which boundary-score tie survives is where the two may differ
-// (the heap evicts an arbitrary member of a minimum-score tie; TopK
-// breaks ties by ascending index), so membership is only asserted off
-// the boundary.
-func TestRunningTopKTiesMatchTopK(t *testing.T) {
-	r := xrand.New(21)
-	scores := make([]float64, 500)
-	for i := range scores {
-		scores[i] = float64(r.Intn(20)) // heavy duplication
-	}
-	const k = 25
-	rt := NewRunningTopK(k)
-	for i, s := range scores {
-		rt.Offer(i, s)
-	}
-	batch := TopK(scores, k)
-	got := rt.Indices()
-	if len(got) != k {
-		t.Fatalf("RunningTopK kept %d members, want %d", len(got), k)
-	}
-	// Same score multiset.
-	wantScores := make([]float64, k)
-	gotScores := make([]float64, k)
-	for i := 0; i < k; i++ {
-		wantScores[i] = scores[batch[i]]
-		gotScores[i] = scores[got[i]]
-	}
-	sort.Float64s(wantScores)
-	sort.Float64s(gotScores)
-	for i := range wantScores {
-		if gotScores[i] != wantScores[i] {
-			t.Fatalf("kept score multisets differ: %v vs %v", gotScores, wantScores)
-		}
-	}
-	// Identical membership strictly above the boundary score.
-	boundary := scores[batch[k-1]]
-	batchSet := map[int]bool{}
-	for _, i := range batch {
-		batchSet[i] = true
-	}
-	gotSet := map[int]bool{}
-	for _, i := range got {
-		gotSet[i] = true
-	}
-	for i, s := range scores {
-		if s > boundary && (!batchSet[i] || !gotSet[i]) {
-			t.Fatalf("index %d (score %v > boundary %v) missing: batch=%v stream=%v",
-				i, s, boundary, batchSet[i], gotSet[i])
 		}
 	}
 }

@@ -322,10 +322,7 @@ func (m *Model) PredictIDsFrom(ids []uint64, workers int, src FeatureSource) []f
 
 // TopK returns the indices of the k highest surrogate scores. Equal
 // scores are ordered by ascending index, so the selection is fully
-// deterministic (sort.Slice alone leaves tie order unspecified). The
-// kept score multiset always matches RunningTopK fed the same stream;
-// which member of a boundary-score tie survives may differ (the heap
-// evicts an arbitrary minimum, TopK keeps the lowest indices).
+// deterministic (sort.Slice alone leaves tie order unspecified).
 func TopK(scores []float64, k int) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {

@@ -67,9 +67,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
