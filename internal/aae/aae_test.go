@@ -1,7 +1,9 @@
 package aae
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"impeccable/internal/geom"
@@ -41,11 +43,52 @@ func TestChamferEmpty(t *testing.T) {
 	}
 }
 
+// chamferOf runs chamferGrad with fresh scratch.
+func chamferOf(rec, ref []geom.Vec3) (float64, []geom.Vec3) {
+	grad := make([]geom.Vec3, len(rec))
+	loss := chamferGrad(rec, ref, grad, make([]float64, len(ref)), make([]int, len(ref)))
+	return loss, grad
+}
+
+// TestChamferGradMatchesTwoScans: the single sweep gives the two-scan
+// reference's bits, on clouds full of duplicated points (so nearest
+// neighbours tie) and with a NaN coordinate.
+func TestChamferGradMatchesTwoScans(t *testing.T) {
+	r := xrand.New(3)
+	lattice := func(n int, dx float64) []geom.Vec3 {
+		c := make([]geom.Vec3, n)
+		for i := range c {
+			c[i] = geom.Vec3{X: float64(r.Intn(3)) + dx, Y: float64(r.Intn(2)), Z: float64(r.Intn(2))}
+		}
+		return c
+	}
+	// Half a step apart, so each point has equidistant nearest
+	// neighbours on the other lattice and the tie order shows in the
+	// gradient.
+	rec, ref := lattice(40, 0), lattice(30, 0.5)
+	for _, poison := range []bool{false, true} {
+		if poison {
+			rec[7].Y = math.NaN()
+		}
+		gotLoss, got := chamferOf(rec, ref)
+		wantLoss, want := refChamferGrad(rec, ref)
+		if !sameBits(gotLoss, wantLoss) {
+			t.Fatalf("NaN %v: loss %v, two scans %v", poison, gotLoss, wantLoss)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if !sameBits(g.X, w.X) || !sameBits(g.Y, w.Y) || !sameBits(g.Z, w.Z) {
+				t.Fatalf("NaN %v: grad[%d] = %v, two scans %v", poison, i, g, w)
+			}
+		}
+	}
+}
+
 func TestChamferGradMatchesFiniteDifference(t *testing.T) {
 	r := xrand.New(2)
 	rec := randomCloud(r, 8, 0)
 	ref := randomCloud(r, 8, 0.5)
-	_, grad := chamferGrad(rec, ref)
+	_, grad := chamferOf(rec, ref)
 	const h = 1e-6
 	for i := 0; i < len(rec); i++ {
 		for axis := 0; axis < 3; axis++ {
@@ -60,10 +103,10 @@ func TestChamferGradMatchesFiniteDifference(t *testing.T) {
 			}
 			rp := append([]geom.Vec3(nil), rec...)
 			rp[i] = rp[i].Add(bump)
-			lp, _ := chamferGrad(rp, ref)
+			lp, _ := chamferOf(rp, ref)
 			rm := append([]geom.Vec3(nil), rec...)
 			rm[i] = rm[i].Sub(bump)
-			lm, _ := chamferGrad(rm, ref)
+			lm, _ := chamferOf(rm, ref)
 			fd := (lp - lm) / (2 * h)
 			var got float64
 			switch axis {
@@ -284,5 +327,69 @@ func BenchmarkTrainBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.TrainBatch(clouds)
+	}
+}
+
+// BenchmarkTrainBatch309 is S2's production shape: PLPro's 309 Cα
+// points and a batch of 16 clouds.
+func BenchmarkTrainBatch309(b *testing.B) {
+	m := New(DefaultConfig(309))
+	clouds, _ := cloudFamily(xrand.New(1), 16, 309)
+	m.TrainBatch(clouds)
+	b.ReportAllocs()
+	for b.Loop() {
+		m.TrainBatch(clouds)
+	}
+}
+
+// TestLanesMatchOneLane trains small models on one lane and on four
+// concurrent lanes (nine clouds in chunks of two: a ragged last round)
+// and requires equal bits in every parameter, loss, embedding and
+// validation loss. It is small enough for the race detector, which
+// watches the lanes share the weights and commit in turn.
+func TestLanesMatchOneLane(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	const points = 24
+	cfg := DefaultConfig(points)
+	one, four := New(cfg), New(cfg)
+	clouds, _ := cloudFamily(xrand.New(8), 9, points)
+	for step := 0; step < 3; step++ {
+		got, want := four.trainBatch(clouds, 2, 4), one.trainBatch(clouds, 2, 1)
+		if !sameBits(got.Recon, want.Recon) || !sameBits(got.Critic, want.Critic) || !sameBits(got.Adv, want.Adv) {
+			t.Fatalf("step %d: losses on four lanes %+v, on one %+v", step, got, want)
+		}
+		assertParamBits(t, fmt.Sprintf("step %d", step), allParams(four), allParams(one))
+	}
+	zs := four.EncodeBatch(clouds)
+	prev := runtime.GOMAXPROCS(1)
+	want := one.EncodeBatch(clouds)
+	runtime.GOMAXPROCS(prev)
+	for i := range zs {
+		for j, v := range want[i] {
+			if !sameBits(zs[i][j], v) {
+				t.Fatalf("embedding %d[%d] = %v on four lanes, %v on one", i, j, zs[i][j], v)
+			}
+		}
+	}
+	if got, want := four.ValidationRecon(clouds), one.ValidationRecon(clouds); !sameBits(got, want) {
+		t.Fatalf("ValidationRecon %v, want %v", got, want)
+	}
+}
+
+// TestTrainBatchAllocsFlat: once a model has trained a batch, every
+// buffer TrainBatch needs is owned and reused, so a steady-state batch
+// allocates a small constant however many clouds it holds.
+func TestTrainBatchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on synchronization")
+	}
+	const points, bound = 32, 8
+	for _, batch := range []int{4, 16, 48} {
+		m := New(DefaultConfig(points))
+		clouds, _ := cloudFamily(xrand.New(3), batch, points)
+		m.TrainBatch(clouds)
+		if got := testing.AllocsPerRun(5, func() { m.TrainBatch(clouds) }); got > bound {
+			t.Errorf("batch %d: %v allocations per steady-state TrainBatch, want at most %d", batch, got, bound)
+		}
 	}
 }

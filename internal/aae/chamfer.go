@@ -52,18 +52,32 @@ func nearestDist2(p geom.Vec3, pts []geom.Vec3) float64 {
 }
 
 // chamferGrad returns the Chamfer distance between the reconstruction rec
-// and the reference ref, along with dChamfer/dRec (one Vec3 per
-// reconstruction point).
-func chamferGrad(rec, ref []geom.Vec3) (float64, []geom.Vec3) {
-	grad := make([]geom.Vec3, len(rec))
+// and the reference ref, and writes dChamfer/dRec into grad (one Vec3
+// per reconstruction point). near and nearAt are scratch of len(ref).
+//
+// One sweep over the point pairs finds both nearest-neighbour maps: for
+// each reconstruction point its nearest reference point, and for each
+// reference point its nearest reconstruction point. Squared distance is
+// symmetric bit for bit ((a−b)² = (b−a)²), the first minimum wins in
+// both directions as in two separate scans, and the loss and gradient
+// terms are summed in the two scans' order.
+func chamferGrad(rec, ref, grad []geom.Vec3, near []float64, nearAt []int) float64 {
+	clear(grad)
+	for j := range ref {
+		near[j], nearAt[j] = math.Inf(1), 0
+	}
 	var loss float64
 	nRec, nRef := float64(len(rec)), float64(len(ref))
 	// Term 1: Σ_rec min_ref |r - p|² / nRec.
 	for i, rp := range rec {
 		best, bi := math.Inf(1), 0
 		for j, p := range ref {
-			if d := rp.Dist2(p); d < best {
+			d := rp.Dist2(p)
+			if d < best {
 				best, bi = d, j
+			}
+			if d < near[j] {
+				near[j], nearAt[j] = d, i
 			}
 		}
 		loss += best / nRec
@@ -71,15 +85,10 @@ func chamferGrad(rec, ref []geom.Vec3) (float64, []geom.Vec3) {
 	}
 	// Term 2: Σ_ref min_rec |p - r|² / nRef; gradient flows to the
 	// nearest reconstruction point of each reference point.
-	for _, p := range ref {
-		best, bi := math.Inf(1), 0
-		for i, rp := range rec {
-			if d := p.Dist2(rp); d < best {
-				best, bi = d, i
-			}
-		}
-		loss += best / nRef
+	for j, p := range ref {
+		bi := nearAt[j]
+		loss += near[j] / nRef
 		grad[bi] = grad[bi].Add(rec[bi].Sub(p).Scale(2 / nRef))
 	}
-	return loss, grad
+	return loss
 }

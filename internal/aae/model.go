@@ -5,9 +5,11 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"impeccable/internal/geom"
 	"impeccable/internal/nn"
+	"impeccable/internal/par"
 	"impeccable/internal/xrand"
 )
 
@@ -51,11 +53,11 @@ func DefaultConfig(numPoints int) Config {
 
 // trainChunk is how many clouds TrainBatch, ValidationRecon and
 // EncodeBatch stack into one (trainChunk·NumPoints)×3 pass through the
-// shared point MLP. It is a memory bound, not a tuning knob: S2 runs in
-// every campaign, and the chunk's activations and scratch grow with it
-// (1.3 MB per 128-wide layer at four 309-point clouds). On a 2-core
-// Xeon, the benchmark's restart-replay workload, whose whole process
-// peaks near 40 MB, measured 47 MB at four clouds and 38–39 MB at two.
+// shared point MLP. It is a memory bound, not a tuning knob: every lane
+// owns its chunk's activations, gradients and scratch, about 3 MB per
+// lane at two 309-point clouds, and S2 runs in every campaign, including
+// the benchmark's restart-replay workload, whose whole process peaks
+// near 40 MB on a 2-core Xeon.
 const trainChunk = 2
 
 // Model is the 3D adversarial autoencoder.
@@ -67,22 +69,83 @@ type Model struct {
 	decoder  *nn.Sequential // latent → hidden → 3·NumPoints
 	critic   *nn.Sequential // latent → hidden → 1 (Wasserstein score)
 
+	genP, critP []*nn.Param // encoder+decoder and critic parameters
+
 	optG nn.Optimizer // encoder+decoder
 	optC nn.Optimizer // critic
 
 	rng *xrand.RNG
 
-	// Chunk scratch, allocated on first use for a chunk's clouds and
-	// reused across chunks and batches.
-	x      *nn.Mat       // stacked normalized clouds, one point per row
-	pooled *nn.Mat       // max-pooled point features, one cloud per row
-	argmax []int         // per cloud and feature, the winning point
-	dH     *nn.Mat       // max-pool scatter of dL/dpooled, zero between uses
-	dOut   *nn.Mat       // dL/dreconstruction, one cloud per row
-	rec    []geom.Vec3   // reconstructions, NumPoints per cloud
-	ref    []geom.Vec3   // normalized inputs, NumPoints per cloud
-	recon  []float64     // per-cloud Chamfer loss
-	grads  [][]geom.Vec3 // per-cloud dChamfer/dreconstruction
+	lanes []*lane   // per-goroutine chunk scratch, grown on demand
+	order sequencer // admits generator-chunk commits in cloud order
+
+	// Batch scratch, reused while its capacity allows.
+	zFake  *nn.Mat   // the batch's latent rows
+	zs     *nn.Mat   // critic inputs: fake, prior and two probes per row
+	dCrit  *nn.Mat   // dL/dscore per critic input
+	probeU []float64 // a penalty probe's random direction
+}
+
+// lane is one goroutine's share of a batch: activation records of its
+// own through the shared networks, and the chunk scratch that stacks,
+// pools and scores its clouds. Lanes only read the weights, so they run
+// chunks concurrently. What one chunk adds to the parameter gradients
+// and the losses waits in its lane until commit applies it in cloud
+// order.
+type lane struct {
+	point, head, dec, critic *nn.Record
+
+	x      *nn.Mat     // stacked normalized clouds, one point per row
+	pooled *nn.Mat     // max-pooled point features, one cloud per row
+	argmax []int       // per cloud and feature, the winning point
+	dH     *nn.Mat     // max-pool scatter of dL/dpooled, zero between uses
+	dOut   *nn.Mat     // dL/dreconstruction, one cloud per row
+	dScore *nn.Mat     // dL/dcritic score, one cloud per row
+	rec    []geom.Vec3 // reconstructions, NumPoints per cloud
+	ref    []geom.Vec3 // normalized inputs, NumPoints per cloud
+	grads  []geom.Vec3 // dChamfer/dreconstruction, NumPoints per cloud
+	near   []float64   // chamferGrad scratch: per reference point, the
+	nearAt []int       // nearest reconstruction point and its distance
+	recon  []float64   // per-cloud Chamfer loss
+	score  []float64   // per-cloud critic score
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// sequencer admits commits one at a time in cloud order: the commit of
+// the chunk starting at cloud at waits until every earlier cloud has
+// been committed.
+type sequencer struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	next int // first cloud not yet committed
+}
+
+func (s *sequencer) reset() {
+	s.cond.L = &s.mu
+	s.next = 0
+}
+
+func (s *sequencer) wait(at int) {
+	s.mu.Lock()
+	for s.next != at {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+func (s *sequencer) done(k int) {
+	s.mu.Lock()
+	s.next += k
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // New builds an untrained model.
@@ -108,53 +171,69 @@ func New(cfg Config) *Model {
 		),
 		rng: r,
 	}
+	m.genP = append(append(m.pointNet.Params(), m.head.Params()...), m.decoder.Params()...)
+	m.critP = m.critic.Params()
 	m.optG = nn.NewRMSprop(cfg.LR)
 	m.optC = nn.NewRMSprop(cfg.LR * 2)
 	return m
 }
 
-// stack normalizes a chunk of clouds (centered, scaled) into the stacked
-// input, cloud c on rows [c·NumPoints, (c+1)·NumPoints).
-func (m *Model) stack(clouds [][]geom.Vec3) *nn.Mat {
-	n, k := m.cfg.NumPoints, len(clouds)
-	if m.x == nil || m.x.R < k*n {
-		f := m.cfg.PointHidden2
-		m.x = nn.NewMat(k*n, 3)
-		m.pooled = nn.NewMat(k, f)
-		m.argmax = make([]int, k*f)
-		m.dH = nn.NewMat(k*n, f)
-		m.dOut = nn.NewMat(k, 3*n)
-		m.rec = make([]geom.Vec3, k*n)
-		m.ref = make([]geom.Vec3, k*n)
-		m.recon = make([]float64, k)
-		m.grads = make([][]geom.Vec3, k)
+// eachChunk splits clouds into chunks of chunk clouds and runs fn on
+// every chunk, on up to lanes goroutines at once (par.For). Chunks are
+// claimed in increasing order; fn gets the claiming lane, the chunk's
+// first cloud index and its clouds. A cloud of the wrong size panics
+// here, before any lane starts.
+func (m *Model) eachChunk(clouds [][]geom.Vec3, chunk, lanes int, fn func(ln *lane, at int, part [][]geom.Vec3)) {
+	for _, cloud := range clouds {
+		if len(cloud) != m.cfg.NumPoints {
+			panic(fmt.Sprintf("aae: cloud of %d points, model expects %d", len(cloud), m.cfg.NumPoints))
+		}
 	}
-	x := m.x.Rows(0, k*n)
+	n := (len(clouds) + chunk - 1) / chunk
+	lanes = min(lanes, n)
+	for len(m.lanes) < lanes {
+		m.lanes = append(m.lanes, &lane{
+			point: m.pointNet.NewRecord(), head: m.head.NewRecord(),
+			dec: m.decoder.NewRecord(), critic: m.critic.NewRecord(),
+		})
+	}
+	var next atomic.Int64
+	par.For(lanes, func(l int) {
+		for c := int(next.Add(1)) - 1; c < n; c = int(next.Add(1)) - 1 {
+			at := c * chunk
+			fn(m.lanes[l], at, clouds[at:min(at+chunk, len(clouds))])
+		}
+	})
+}
+
+// stack normalizes a chunk of clouds (centered, scaled) into the lane's
+// stacked input, cloud c on rows [c·NumPoints, (c+1)·NumPoints).
+func (m *Model) stack(ln *lane, clouds [][]geom.Vec3) *nn.Mat {
+	n, k := m.cfg.NumPoints, len(clouds)
+	ln.x = nn.Reuse(ln.x, k*n, 3)
 	inv := 1 / m.cfg.CoordScale
 	for c, cloud := range clouds {
-		if len(cloud) != n {
-			panic(fmt.Sprintf("aae: cloud of %d points, model expects %d", len(cloud), n))
-		}
 		ctr := geom.Centroid(cloud)
 		for i, p := range cloud {
 			q := p.Sub(ctr).Scale(inv)
-			row := x.Row(c*n + i)
+			row := ln.x.Row(c*n + i)
 			row[0], row[1], row[2] = q.X, q.Y, q.Z
 		}
 	}
-	return x
+	return ln.x
 }
 
 // maxPool reduces the point features h (NumPoints rows per cloud) to one
 // row per cloud, recording each maximum's point for unpool. The first
 // maximum wins, and a NaN first element stays the maximum.
-func (m *Model) maxPool(h *nn.Mat) *nn.Mat {
+func (m *Model) maxPool(ln *lane, h *nn.Mat) *nn.Mat {
 	n, f := m.cfg.NumPoints, h.C
 	k := h.R / n
-	pooled := m.pooled.Rows(0, k)
+	ln.pooled = nn.Reuse(ln.pooled, k, f)
+	ln.argmax = resize(ln.argmax, k*f)
 	for c := 0; c < k; c++ {
-		best := pooled.Row(c)
-		arg := m.argmax[c*f : (c+1)*f]
+		best := ln.pooled.Row(c)
+		arg := ln.argmax[c*f : (c+1)*f]
 		copy(best, h.Row(c*n))
 		clear(arg)
 		for i := 1; i < n; i++ {
@@ -165,26 +244,21 @@ func (m *Model) maxPool(h *nn.Mat) *nn.Mat {
 			}
 		}
 	}
-	return pooled
+	return ln.pooled
 }
 
 // unpool scatters dL/dpooled (one row per cloud) onto the points that
-// won the max-pool and backpropagates it through the shared point MLP,
-// one cloud per gradient segment.
-func (m *Model) unpool(dPool *nn.Mat) {
+// won the max-pool and backpropagates it through the lane's point-MLP
+// record, one cloud per gradient segment. commit clears the scatter.
+func (m *Model) unpool(ln *lane, dPool *nn.Mat) {
 	n, f := m.cfg.NumPoints, dPool.C
-	dH := m.dH.Rows(0, dPool.R*n)
+	ln.dH = nn.Reuse(ln.dH, dPool.R*n, f)
 	for c := 0; c < dPool.R; c++ {
-		for j, i := range m.argmax[c*f : (c+1)*f] {
-			dH.Set(c*n+i, j, dPool.At(c, j))
+		for j, i := range ln.argmax[c*f : (c+1)*f] {
+			ln.dH.Set(c*n+i, j, dPool.At(c, j))
 		}
 	}
-	m.pointNet.BackwardRows(dH, n)
-	for c := 0; c < dPool.R; c++ {
-		for j, i := range m.argmax[c*f : (c+1)*f] {
-			dH.Set(c*n+i, j, 0)
-		}
-	}
+	ln.point.Backward(ln.dH, n)
 }
 
 // vecs reads 3·len(dst) coordinates (x, y, z per point) into dst.
@@ -196,43 +270,24 @@ func vecs(dst []geom.Vec3, v []float64) []geom.Vec3 {
 }
 
 // clouds returns cloud c's reconstruction (row c of the decoder output)
-// and normalized input (its rows of the stack) as points, in scratch
-// private to c.
-func (m *Model) clouds(out, x *nn.Mat, c int) (rec, ref []geom.Vec3) {
+// and normalized input (its rows of the stack) as points, in the lane's
+// scratch for c.
+func (m *Model) clouds(ln *lane, out, x *nn.Mat, c int) (rec, ref []geom.Vec3) {
 	n := m.cfg.NumPoints
-	rec = vecs(m.rec[c*n:(c+1)*n], out.Row(c))
-	ref = vecs(m.ref[c*n:(c+1)*n], x.V[3*c*n:3*(c+1)*n])
+	ln.rec = resize(ln.rec, x.R)
+	ln.ref = resize(ln.ref, x.R)
+	rec = vecs(ln.rec[c*n:(c+1)*n], out.Row(c))
+	ref = vecs(ln.ref[c*n:(c+1)*n], x.V[3*c*n:3*(c+1)*n])
 	return rec, ref
 }
 
-// eachCloud runs fn for every cloud of a chunk, concurrently when more
-// than one core is available. fn writes only its own cloud's results,
-// and callers reduce them in cloud order.
-func eachCloud(k int, fn func(c int)) {
-	if k == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for c := 0; c < k; c++ {
-			fn(c)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for c := 1; c < k; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(c)
-		}()
-	}
-	fn(0)
-	wg.Wait()
-}
-
-// infer embeds a chunk of clouds through the inference-only path,
-// returning one latent row per cloud (valid until ar's next Reset) and
-// the stacked input.
-func (m *Model) infer(clouds [][]geom.Vec3, ar *nn.Arena) (z, x *nn.Mat) {
-	x = m.stack(clouds)
-	return m.head.Infer(m.maxPool(m.pointNet.Infer(x, ar)), ar), x
+// encode embeds a chunk of clouds through the lane's records, returning
+// one latent row per cloud and the stacked input, both valid until the
+// lane's next chunk. Training and inference share this forward pass,
+// so inference needs no buffers beyond the lane's.
+func (m *Model) encode(ln *lane, clouds [][]geom.Vec3) (z, x *nn.Mat) {
+	x = m.stack(ln, clouds)
+	return ln.head.Forward(m.maxPool(ln, ln.point.Forward(x))), x
 }
 
 // Encode returns the latent embedding of a cloud (no gradient state kept).
@@ -240,19 +295,16 @@ func (m *Model) Encode(cloud []geom.Vec3) []float64 {
 	return m.EncodeBatch([][]geom.Vec3{cloud})[0]
 }
 
-// EncodeBatch embeds many clouds, trainChunk at a time.
+// EncodeBatch embeds many clouds, trainChunk at a time, on up to
+// GOMAXPROCS lanes.
 func (m *Model) EncodeBatch(clouds [][]geom.Vec3) [][]float64 {
 	out := make([][]float64, len(clouds))
-	ar := nn.GetArena()
-	defer ar.Release()
-	for at := 0; at < len(clouds); at += trainChunk {
-		part := clouds[at:min(at+trainChunk, len(clouds))]
-		z, _ := m.infer(part, ar)
+	m.eachChunk(clouds, trainChunk, runtime.GOMAXPROCS(0), func(ln *lane, at int, part [][]geom.Vec3) {
+		z, _ := m.encode(ln, part)
 		for c := range part {
 			out[at+c] = append([]float64(nil), z.Row(c)...)
 		}
-		ar.Reset()
-	}
+	})
 	return out
 }
 
@@ -283,80 +335,112 @@ type Losses struct {
 // the given clouds, returning mean losses.
 //
 // The generator phase runs trainChunk clouds at a time through one
-// stacked forward and backward pass, and the critic phase runs the
-// whole batch as one. Both are bit-identical to processing the clouds
-// one by one: forward rows are independent, and every parameter
-// gradient keeps its per-cloud summation order (nn.Dense.BackwardRows).
+// stacked forward and backward pass, on up to GOMAXPROCS lanes at once,
+// and the critic phase runs the whole batch as one. Both are
+// bit-identical to processing the clouds one by one, on any number of
+// lanes: forward rows are independent, the weights do not change during
+// the phase, and every parameter gradient and loss sum is applied by
+// commit in cloud order, keeping its per-cloud summation order
+// (nn.Record.Commit).
 func (m *Model) TrainBatch(clouds [][]geom.Vec3) Losses {
-	return m.trainBatch(clouds, trainChunk)
+	return m.trainBatch(clouds, trainChunk, runtime.GOMAXPROCS(0))
 }
 
-func (m *Model) trainBatch(clouds [][]geom.Vec3, chunk int) Losses {
+func (m *Model) trainBatch(clouds [][]geom.Vec3, chunk, lanes int) Losses {
 	if len(clouds) == 0 {
 		return Losses{}
 	}
 	b := float64(len(clouds))
 	var losses Losses
-	zFake := nn.NewMat(len(clouds), m.cfg.LatentDim)
+	m.zFake = nn.Reuse(m.zFake, len(clouds), m.cfg.LatentDim)
 
 	// ---- Generator (encoder+decoder) phase ----
 	m.zeroGenGrads()
-	for at := 0; at < len(clouds); at += chunk {
-		part := clouds[at:min(at+chunk, len(clouds))]
-		z := m.generatorChunk(part, b, &losses)
-		copy(zFake.V[at*z.C:], z.V)
-	}
-	nn.ClipGrads(m.genParams(), 5)
-	m.optG.Step(m.genParams())
-	// Discard critic gradients accumulated while routing the adversarial
-	// signal into the encoder.
-	for _, p := range m.critic.Params() {
+	m.order.reset()
+	m.eachChunk(clouds, chunk, lanes, func(ln *lane, at int, part [][]geom.Vec3) {
+		z := m.generatorChunk(ln, part, b)
+		copy(m.zFake.V[at*z.C:], z.V)
+		m.order.wait(at)
+		m.commit(ln, b, &losses)
+		m.order.done(len(part))
+	})
+	nn.ClipGrads(m.genP, 5)
+	m.optG.Step(m.genP)
+	// Routing the adversarial signal into the encoder needs only the
+	// critic's input gradient, so the lanes never commit the critic's
+	// parameter gradients; the critic phase starts them from zero.
+	for _, p := range m.critP {
 		p.ZeroGrad()
 	}
 
 	// ---- Critic phase ----
 	for it := 0; it < m.cfg.NCritic; it++ {
-		losses.Critic = m.criticStep(zFake, b)
+		losses.Critic = m.criticStep(m.zFake, b)
 	}
 	return losses
 }
 
-// generatorChunk accumulates the encoder and decoder gradients of a
-// chunk of clouds (b is the batch size the losses are averaged over) and
-// returns the chunk's latent rows.
-func (m *Model) generatorChunk(clouds [][]geom.Vec3, b float64, losses *Losses) *nn.Mat {
-	k := len(clouds)
-	x := m.stack(clouds)
-	z := m.head.Forward(m.maxPool(m.pointNet.Forward(x)))
+// generatorChunk runs a chunk of clouds (b is the batch size the losses
+// are averaged over) forward and back through the lane's records and
+// returns the chunk's latent rows. It reads the weights and writes only
+// the lane; commit applies what it leaves there.
+func (m *Model) generatorChunk(ln *lane, clouds [][]geom.Vec3, b float64) *nn.Mat {
+	n, k := m.cfg.NumPoints, len(clouds)
+	z, x := m.encode(ln, clouds)
 
 	// Backprop the Chamfer reconstruction loss through the decoder.
-	out := m.decoder.Forward(z)
-	dOut := m.dOut.Rows(0, k)
+	out := ln.dec.Forward(z)
+	ln.dOut = nn.Reuse(ln.dOut, k, 3*n)
+	ln.grads = resize(ln.grads, k*n)
+	ln.near, ln.nearAt = resize(ln.near, n), resize(ln.nearAt, n)
+	ln.recon = resize(ln.recon, k)
 	s := m.cfg.ReconScale / b
-	eachCloud(k, func(c int) {
-		rec, ref := m.clouds(out, x, c)
-		m.recon[c], m.grads[c] = chamferGrad(rec, ref)
-	})
 	for c := 0; c < k; c++ {
-		losses.Recon += m.recon[c] / b
-		row := dOut.Row(c)
-		for i, g := range m.grads[c] {
-			row[3*i], row[3*i+1], row[3*i+2] = g.X*s, g.Y*s, g.Z*s
+		rec, ref := m.clouds(ln, out, x, c)
+		g := ln.grads[c*n : (c+1)*n]
+		ln.recon[c] = chamferGrad(rec, ref, g, ln.near, ln.nearAt)
+		row := ln.dOut.Row(c)
+		for i, gv := range g {
+			row[3*i], row[3*i+1], row[3*i+2] = gv.X*s, gv.Y*s, gv.Z*s
 		}
 	}
-	dz := m.decoder.BackwardRows(dOut, 1)
+	dz := ln.dec.Backward(ln.dOut, 1)
 
-	// Adversarial term: encoder maximizes critic score on z.
-	score := m.critic.Forward(z)
-	dScore := nn.NewMat(k, 1)
+	// Adversarial term: encoder maximizes critic score on z. Only the
+	// critic's input gradient is needed; its parameter gradients would
+	// be discarded, so the critic record is never committed.
+	score := ln.critic.Forward(z)
+	ln.dScore = nn.Reuse(ln.dScore, k, 1)
+	ln.score = resize(ln.score, k)
 	for c := 0; c < k; c++ {
-		losses.Adv += -score.At(c, 0) / b
-		dScore.V[c] = -1 / b
+		ln.score[c] = score.At(c, 0)
+		ln.dScore.V[c] = -1 / b
 	}
-	dz.AddInPlace(m.critic.BackwardRows(dScore, 1))
+	dz.AddInPlace(ln.critic.Backward(ln.dScore, 1))
 
-	m.unpool(m.head.BackwardRows(dz, 1))
+	m.unpool(ln, ln.head.Backward(dz, 1))
 	return z
+}
+
+// commit applies a lane's chunk to the batch: its loss terms, then its
+// parameter gradients, each in cloud order. Chunks commit in cloud
+// order too (sequencer), so the sums match the one-by-one loop's.
+func (m *Model) commit(ln *lane, b float64, losses *Losses) {
+	for _, r := range ln.recon {
+		losses.Recon += r / b
+	}
+	for _, sc := range ln.score {
+		losses.Adv += -sc / b
+	}
+	ln.dec.Commit()
+	ln.head.Commit()
+	ln.point.Commit()
+	n, f := m.cfg.NumPoints, ln.pooled.C
+	for c := range ln.recon {
+		for j, i := range ln.argmax[c*f : (c+1)*f] {
+			ln.dH.Set(c*n+i, j, 0)
+		}
+	}
 }
 
 // criticStep performs one critic update against the batch's latent rows
@@ -368,8 +452,9 @@ func (m *Model) generatorChunk(clouds [][]geom.Vec3, b float64, losses *Losses) 
 func (m *Model) criticStep(zFake *nn.Mat, b float64) float64 {
 	const h = 1e-2
 	l := m.cfg.LatentDim
-	zs := nn.NewMat(4*zFake.R, l) // per fake row: fake, prior, ẑ+hu, ẑ−hu
-	u := make([]float64, l)
+	m.zs = nn.Reuse(m.zs, 4*zFake.R, l) // per fake row: fake, prior, ẑ+hu, ẑ−hu
+	m.probeU = resize(m.probeU, l)
+	zs, u := m.zs, m.probeU
 	for c := 0; c < zFake.R; c++ {
 		zf, zr := zFake.Row(c), zs.Row(4*c+1)
 		copy(zs.Row(4*c), zf)
@@ -390,13 +475,14 @@ func (m *Model) criticStep(zFake *nn.Mat, b float64) float64 {
 			zm[k] = zi - h*u[k]*norm
 		}
 	}
-	for _, p := range m.critic.Params() {
+	for _, p := range m.critP {
 		p.ZeroGrad()
 	}
 	// Critic minimizes D(fake) - D(real): fake scores get gradient +1/b,
 	// real -1/b; d pen / d sp = 2(g-1)·GP / (2h), d pen / d sm = -that.
 	scores := m.critic.Forward(zs)
-	grad := nn.NewMat(zs.R, 1)
+	m.dCrit = nn.Reuse(m.dCrit, zs.R, 1)
+	grad := m.dCrit
 	var loss float64
 	for c := 0; c < zFake.R; c++ {
 		sf, sr, sp, sm := scores.V[4*c], scores.V[4*c+1], scores.V[4*c+2], scores.V[4*c+3]
@@ -408,20 +494,13 @@ func (m *Model) criticStep(zFake *nn.Mat, b float64) float64 {
 		grad.V[4*c], grad.V[4*c+1], grad.V[4*c+2], grad.V[4*c+3] = 1/b, -1/b, dsp, -dsp
 	}
 	m.critic.BackwardRows(grad, 1)
-	m.optC.Step(m.critic.Params())
-	nn.ClipWeights(m.critic.Params(), m.cfg.ClipC)
+	m.optC.Step(m.critP)
+	nn.ClipWeights(m.critP, m.cfg.ClipC)
 	return loss
 }
 
-func (m *Model) genParams() []*nn.Param {
-	ps := append([]*nn.Param{}, m.pointNet.Params()...)
-	ps = append(ps, m.head.Params()...)
-	ps = append(ps, m.decoder.Params()...)
-	return ps
-}
-
 func (m *Model) zeroGenGrads() {
-	for _, p := range m.genParams() {
+	for _, p := range m.genP {
 		p.ZeroGrad()
 	}
 }
@@ -435,6 +514,7 @@ func (m *Model) TrainEpochs(clouds [][]geom.Vec3, epochs, batchSize int) []Losse
 	for i := range idx {
 		idx[i] = i
 	}
+	batch := make([][]geom.Vec3, 0, batchSize)
 	for e := 0; e < epochs; e++ {
 		m.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		var acc Losses
@@ -444,7 +524,7 @@ func (m *Model) TrainEpochs(clouds [][]geom.Vec3, epochs, batchSize int) []Losse
 			if end > len(idx) {
 				end = len(idx)
 			}
-			batch := make([][]geom.Vec3, 0, end-at)
+			batch = batch[:0]
 			for _, i := range idx[at:end] {
 				batch = append(batch, clouds[i])
 			}
@@ -465,23 +545,23 @@ func (m *Model) TrainEpochs(clouds [][]geom.Vec3, epochs, batchSize int) []Losse
 }
 
 // ValidationRecon returns the mean Chamfer reconstruction loss over a
-// held-out set (the paper's validation loss metric).
+// held-out set (the paper's validation loss metric). Chunks run on up
+// to GOMAXPROCS lanes; the per-cloud losses are summed in cloud order.
 func (m *Model) ValidationRecon(clouds [][]geom.Vec3) float64 {
 	if len(clouds) == 0 {
 		return 0
 	}
-	ar := nn.GetArena()
-	defer ar.Release()
-	var s float64
-	for at := 0; at < len(clouds); at += trainChunk {
-		part := clouds[at:min(at+trainChunk, len(clouds))]
-		z, x := m.infer(part, ar)
-		out := m.decoder.Infer(z, ar)
-		eachCloud(len(part), func(c int) { m.recon[c] = Chamfer(m.clouds(out, x, c)) })
+	recon := make([]float64, len(clouds))
+	m.eachChunk(clouds, trainChunk, runtime.GOMAXPROCS(0), func(ln *lane, at int, part [][]geom.Vec3) {
+		z, x := m.encode(ln, part)
+		out := ln.dec.Forward(z)
 		for c := range part {
-			s += m.recon[c]
+			recon[at+c] = Chamfer(m.clouds(ln, out, x, c))
 		}
-		ar.Reset()
+	})
+	var s float64
+	for _, r := range recon {
+		s += r
 	}
 	return s / float64(len(clouds))
 }

@@ -10,6 +10,7 @@ package aae
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"impeccable/internal/geom"
@@ -115,7 +116,7 @@ func (m *refModel) TrainBatch(clouds [][]geom.Vec3) Losses {
 			row := refMat.Row(i)
 			ref[i] = geom.Vec3{X: row[0], Y: row[1], Z: row[2]}
 		}
-		recLoss, recGrad := chamferGrad(rec, ref)
+		recLoss, recGrad := refChamferGrad(rec, ref)
 		losses.Recon += recLoss / b
 
 		// Backprop reconstruction through the decoder.
@@ -139,8 +140,8 @@ func (m *refModel) TrainBatch(clouds [][]geom.Vec3) Losses {
 		dz.AddInPlace(dzAdv)
 		m.encodeBackward(dz)
 	}
-	nn.ClipGrads(m.genParams(), 5)
-	m.optG.Step(m.genParams())
+	nn.ClipGrads(m.genP, 5)
+	m.optG.Step(m.genP)
 	// Discard critic gradients accumulated while routing the adversarial
 	// signal into the encoder.
 	for _, p := range m.critic.Params() {
@@ -178,6 +179,35 @@ func (m *refModel) TrainBatch(clouds [][]geom.Vec3) Losses {
 		nn.ClipWeights(m.critic.Params(), m.cfg.ClipC)
 	}
 	return losses
+}
+
+// refChamferGrad is the two-scan Chamfer loss and gradient that
+// chamferGrad's single sweep must match bit for bit.
+func refChamferGrad(rec, ref []geom.Vec3) (float64, []geom.Vec3) {
+	grad := make([]geom.Vec3, len(rec))
+	var loss float64
+	nRec, nRef := float64(len(rec)), float64(len(ref))
+	for i, rp := range rec {
+		best, bi := math.Inf(1), 0
+		for j, p := range ref {
+			if d := rp.Dist2(p); d < best {
+				best, bi = d, j
+			}
+		}
+		loss += best / nRec
+		grad[i] = grad[i].Add(rp.Sub(ref[bi]).Scale(2 / nRec))
+	}
+	for _, p := range ref {
+		best, bi := math.Inf(1), 0
+		for i, rp := range rec {
+			if d := p.Dist2(rp); d < best {
+				best, bi = d, i
+			}
+		}
+		loss += best / nRef
+		grad[bi] = grad[bi].Add(rec[bi].Sub(p).Scale(2 / nRef))
+	}
+	return loss, grad
 }
 
 // gradientPenalty applies the finite-difference directional penalty at an
@@ -270,18 +300,19 @@ func assertParamBits(t *testing.T, label string, got, want []*nn.Param) {
 }
 
 func allParams(m *Model) []*nn.Param {
-	return append(m.genParams(), m.critic.Params()...)
+	return append(append([]*nn.Param(nil), m.genP...), m.critP...)
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestTrainBatchBitIdenticalToReference trains a chunked Model and the
+// TestTrainBatchBitIdenticalToReference trains chunked Models and the
 // per-cloud reference side by side on 309-point clouds — PLPro's Cα
-// count — for every batch size and chunk size pairing, and requires
-// equal bits in every parameter and gradient after every batch, in every
-// loss, in the embeddings and in the validation loss. The last batch
-// carries a cloud with a NaN coordinate, so the kernels' non-finite
-// fallbacks are on the compared path too.
+// count — for every batch size and chunk size pairing, each on one to
+// four lanes, and requires equal bits in every parameter and gradient
+// after every batch, in every loss, in the embeddings and in the
+// validation loss. Batch 7 in chunks of 2 on 3 lanes leaves a ragged
+// last round. The last batch carries a cloud with a NaN coordinate, so
+// the kernels' non-finite fallbacks are on the compared path too.
 func TestTrainBatchBitIdenticalToReference(t *testing.T) {
 	const points = 309
 	nClouds, epochs := 17, 2
@@ -289,25 +320,40 @@ func TestTrainBatchBitIdenticalToReference(t *testing.T) {
 		// Still one partial batch of 16 and one full batch of 7.
 		nClouds, epochs = 9, 1
 	}
+	// Enough procs for four lanes to run at once, whatever the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	r := xrand.New(5)
 	clouds, _ := cloudFamily(r, nClouds, points)
 	val, _ := cloudFamily(r, 3, points)
 	nanCloud := append([]geom.Vec3(nil), clouds[0]...)
 	nanCloud[17].Y = math.NaN()
+	laneCounts := []int{1, 2, 3, 4}
+	if raceEnabled {
+		// The detector makes every lane count cost a minute; three lanes
+		// are concurrent and leave a ragged last round.
+		laneCounts = []int{3}
+	}
 	for _, batch := range []int{1, 7, 16} {
 		// A chunk never exceeds the batch, so batch 1 has one chunking.
 		for chunk := 1; chunk <= min(4, batch); chunk++ {
 			cfg := DefaultConfig(points)
 			cfg.Seed = uint64(batch*10 + chunk)
-			m, ref := New(cfg), &refModel{Model: New(cfg)}
+			ref := &refModel{Model: New(cfg)}
+			models := make([]*Model, len(laneCounts)) // models[i] trains on laneCounts[i] lanes
+			for i := range models {
+				models[i] = New(cfg)
+			}
 			step := 0
 			train := func(b [][]geom.Vec3) {
-				label := fmt.Sprintf("batch %d chunk %d step %d", batch, chunk, step)
-				got, want := m.trainBatch(b, chunk), ref.TrainBatch(b)
-				if !sameBits(got.Recon, want.Recon) || !sameBits(got.Critic, want.Critic) || !sameBits(got.Adv, want.Adv) {
-					t.Fatalf("%s: losses %+v, reference %+v", label, got, want)
+				want := ref.TrainBatch(b)
+				for i, m := range models {
+					label := fmt.Sprintf("batch %d chunk %d lanes %d step %d", batch, chunk, laneCounts[i], step)
+					got := m.trainBatch(b, chunk, laneCounts[i])
+					if !sameBits(got.Recon, want.Recon) || !sameBits(got.Critic, want.Critic) || !sameBits(got.Adv, want.Adv) {
+						t.Fatalf("%s: losses %+v, reference %+v", label, got, want)
+					}
+					assertParamBits(t, label, allParams(m), allParams(ref.Model))
 				}
-				assertParamBits(t, label, allParams(m), allParams(ref.Model))
 				step++
 			}
 			for e := 0; e < epochs; e++ {
@@ -320,23 +366,31 @@ func TestTrainBatchBitIdenticalToReference(t *testing.T) {
 					train(b)
 				}
 			}
-			label := fmt.Sprintf("batch %d chunk %d", batch, chunk)
 			all := append(append([][]geom.Vec3(nil), clouds...), val...)
-			for i, z := range m.EncodeBatch(all) {
-				for j, v := range ref.EncodeBatch(all[i : i+1])[0] {
-					if !sameBits(z[j], v) {
-						t.Fatalf("%s: embedding %d[%d] = %v, reference %v", label, i, j, z[j], v)
+			wantZ := ref.EncodeBatch(all)
+			wantVal := ref.ValidationRecon(val)
+			for i, m := range models {
+				label := fmt.Sprintf("batch %d chunk %d lanes %d", batch, chunk, laneCounts[i])
+				for ci, z := range m.EncodeBatch(all) {
+					for j, v := range wantZ[ci] {
+						if !sameBits(z[j], v) {
+							t.Fatalf("%s: embedding %d[%d] = %v, reference %v", label, ci, j, z[j], v)
+						}
 					}
 				}
-			}
-			if got, want := m.ValidationRecon(val), ref.ValidationRecon(val); !sameBits(got, want) {
-				t.Fatalf("%s: ValidationRecon %v, reference %v", label, got, want)
+				if got := m.ValidationRecon(val); !sameBits(got, wantVal) {
+					t.Fatalf("%s: ValidationRecon %v, reference %v", label, got, wantVal)
+				}
 			}
 			// Non-finite input: NaN flows through every kernel's
 			// fallback and must poison exactly what it poisons per cloud.
 			train(append([][]geom.Vec3{nanCloud}, clouds[1:min(batch, nClouds)]...))
-			if got, want := m.ValidationRecon([][]geom.Vec3{nanCloud, val[0]}), ref.ValidationRecon([][]geom.Vec3{nanCloud, val[0]}); !sameBits(got, want) {
-				t.Fatalf("%s: ValidationRecon with NaN %v, reference %v", label, got, want)
+			withNaN := [][]geom.Vec3{nanCloud, val[0]}
+			wantVal = ref.ValidationRecon(withNaN)
+			for i, m := range models {
+				if got := m.ValidationRecon(withNaN); !sameBits(got, wantVal) {
+					t.Fatalf("batch %d chunk %d lanes %d: ValidationRecon with NaN %v, reference %v", batch, chunk, laneCounts[i], got, wantVal)
+				}
 			}
 		}
 	}

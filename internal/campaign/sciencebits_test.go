@@ -128,14 +128,15 @@ func formatSections(secs [][2]string) string {
 }
 
 // TestScienceBits recomputes goldenConfig()'s science digest at
-// GOMAXPROCS 1, 2 and 8 and compares it with the committed golden.
-// Kernel fan-out depends on GOMAXPROCS, so the three runs also pin
-// that no parallel path reorders a floating-point sum. A mismatch
-// names the sections that moved; regenerating the golden is a science
-// change, never a performance change. It runs under -short (three small
-// campaigns) but not under the race detector, where the same three take
-// minutes and the kernels' fan-out is raced by the nn package's own
-// parallel tests.
+// GOMAXPROCS 1, 2, 3 and 8 and compares it with the committed golden.
+// Kernel fan-out and S2's lane count depend on GOMAXPROCS (three lanes
+// leave a ragged round of chunks), so the four runs also pin that no
+// parallel path reorders a floating-point sum. A mismatch names the
+// sections that moved; regenerating the golden is a science change,
+// never a performance change. It runs under -short (four small
+// campaigns) but not under the race detector, where the same four take
+// minutes and the kernels' and lanes' fan-out is raced by the nn and
+// aae packages' own tests.
 func TestScienceBits(t *testing.T) {
 	if raceEnabled {
 		t.Skip("three campaigns are too slow under the race detector")
@@ -144,7 +145,7 @@ func TestScienceBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 2, 8} {
+	for _, p := range []int{1, 2, 3, 8} {
 		prev := runtime.GOMAXPROCS(p)
 		res, err := Run(goldenConfig())
 		runtime.GOMAXPROCS(prev)

@@ -147,10 +147,6 @@ func (d *Driver) Run(ests []esmacs.Estimate) (*Report, error) {
 	// the 3D-AAE filters "those conformations that show increased
 	// stability profiles in the LPCs", measured as heavy-atom contacts;
 	// here: contacts at or above the molecule's median).
-	type cand struct {
-		idx   int
-		score float64
-	}
 	perMol := map[uint64][]cand{}
 	for i, ref := range refs {
 		perMol[ref.MolID] = append(perMol[ref.MolID], cand{i, rep.LOF[i]})
@@ -161,26 +157,7 @@ func (d *Driver) Run(ests []esmacs.Estimate) (*Report, error) {
 	}
 	sort.Slice(molIDs, func(a, b int) bool { return molIDs[a] < molIDs[b] })
 	for _, id := range molIDs {
-		cands := perMol[id]
-		// Stability filter: keep the more favourably interacting half of
-		// this molecule's frames (lower interaction energy = increased
-		// stability profile), then rank those by LOF outlier score.
-		ee := make([]float64, len(cands))
-		for i, c := range cands {
-			ee[i] = refs[c.idx].Inter
-		}
-		sort.Float64s(ee)
-		median := ee[len(ee)/2]
-		stable := cands[:0]
-		for _, c := range cands {
-			if refs[c.idx].Inter <= median {
-				stable = append(stable, c)
-			}
-		}
-		if len(stable) > 0 {
-			cands = stable
-		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].score > cands[b].score })
+		cands := rankStable(perMol[id], refs)
 		n := d.Cfg.OutliersPerLigand
 		if n > len(cands) {
 			n = len(cands)
@@ -195,6 +172,41 @@ func (d *Driver) Run(ests []esmacs.Estimate) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// cand is one frame of a molecule: its index in the aggregated dataset
+// and its LOF score.
+type cand struct {
+	idx   int
+	score float64
+}
+
+// rankStable keeps the more favourably interacting half of one
+// molecule's frames (lower interaction energy = increased stability
+// profile) and ranks those by LOF outlier score, best first. Equal
+// scores go to the earlier frame, so ties select the same frames
+// whatever the sort algorithm does. It reorders cands in place.
+func rankStable(cands []cand, refs []FrameRef) []cand {
+	ee := make([]float64, len(cands))
+	for i, c := range cands {
+		ee[i] = refs[c.idx].Inter
+	}
+	sort.Float64s(ee)
+	median := ee[len(ee)/2]
+	stable := cands[:0]
+	for _, c := range cands {
+		if refs[c.idx].Inter <= median {
+			stable = append(stable, c)
+		}
+	}
+	if len(stable) > 0 {
+		cands = stable
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		ca, cb := cands[a], cands[b]
+		return ca.score > cb.score || ca.score == cb.score && ca.idx < cb.idx
+	})
+	return cands
 }
 
 // aggregate flattens the retained trajectories into point clouds (protein

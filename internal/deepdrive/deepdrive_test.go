@@ -186,3 +186,35 @@ func TestDeterministicRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRankStableTiesGoToEarlierFrame: frames of equal LOF score rank by
+// frame index, and only the more stable half of the frames is ranked.
+func TestRankStableTiesGoToEarlierFrame(t *testing.T) {
+	const n = 41 // 21 even frames: the median interaction energy is theirs
+	refs := make([]FrameRef, n)
+	cands := make([]cand, n)
+	for i := range refs {
+		refs[i].Inter = float64(i % 2) // odd frames are the less stable half
+	}
+	for i := range cands {
+		// Reverse frame order, three distinct scores.
+		idx := n - 1 - i
+		cands[i] = cand{idx: idx, score: float64(idx % 3)}
+	}
+	got := rankStable(cands, refs)
+	if len(got) != n/2+1 {
+		t.Fatalf("%d frames ranked, want the %d stable ones", len(got), n/2+1)
+	}
+	for i, c := range got {
+		if refs[c.idx].Inter != 0 {
+			t.Fatalf("rank %d: frame %d is in the less stable half", i, c.idx)
+		}
+		if i == 0 {
+			continue
+		}
+		p := got[i-1]
+		if p.score < c.score || p.score == c.score && p.idx > c.idx {
+			t.Fatalf("rank %d: frame %d (score %v) before frame %d (score %v)", i, p.idx, p.score, c.idx, c.score)
+		}
+	}
+}

@@ -104,6 +104,29 @@ func TestSolisWetsImproves(t *testing.T) {
 	}
 }
 
+// TestRefineAllocatesOnce: Solis-Wets takes one scratch slice per
+// Refine however many iterations it runs, and the gradient probe of
+// ADADELTA's refinement reuses the scoring function's buffer.
+func TestRefineAllocatesOnce(t *testing.T) {
+	s := NewScoreFunc(plpro(), chem.FromID(9))
+	r := xrand.New(5)
+	g := randomGenome(s, r)
+	e := s.Score(g)
+	sw := NewSolisWets()
+	gg := make([]float64, len(g))
+	if got := testing.AllocsPerRun(20, func() {
+		copy(gg, g)
+		sw.Refine(s, gg, e, 100, r)
+	}); got > 1 {
+		t.Errorf("SolisWets.Refine: %v allocations per run, want 1", got)
+	}
+	grad := make([]float64, len(g))
+	s.Gradient(g, grad)
+	if got := testing.AllocsPerRun(20, func() { s.Gradient(g, grad) }); got != 0 {
+		t.Errorf("ScoreFunc.Gradient: %v allocations per call, want 0", got)
+	}
+}
+
 func TestADADELTAImproves(t *testing.T) {
 	m := chem.FromID(9)
 	s := NewScoreFunc(plpro(), m)

@@ -41,13 +41,12 @@ func (sw *SolisWets) Name() string { return "solis-wets" }
 func (sw *SolisWets) Refine(s *ScoreFunc, g []float64, energy float64, maxIters int, r *xrand.RNG) float64 {
 	n := len(g)
 	rho := sw.InitialRho
-	bias := make([]float64, n)
-	cand := make([]float64, n)
+	buf := make([]float64, 3*n)
+	bias, cand, delta := buf[:n], buf[n:2*n], buf[2*n:]
 	succ, fail := 0, 0
 	best := energy
 	for it := 0; it < maxIters && rho > sw.MinRho; it++ {
 		// Forward probe: g + bias + N(0, rho).
-		var delta = make([]float64, n)
 		for k := 0; k < n; k++ {
 			delta[k] = bias[k] + r.Norm(0, rho)
 			cand[k] = g[k] + delta[k]

@@ -28,6 +28,7 @@ type ScoreFunc struct {
 	depths [][chem.NumBeadClasses]float64 // per (well, class) depth
 	wells  []receptor.Well
 	buf    []geom.Vec3 // scratch positions
+	probe  []float64   // Gradient's perturbed genome
 	evals  int64       // energy evaluations performed
 }
 
@@ -154,7 +155,10 @@ func (s *ScoreFunc) intramolecular(pos []geom.Vec3, tors []float64) float64 {
 // gradient, which the FLOP model accounts for.
 func (s *ScoreFunc) Gradient(g, grad []float64) {
 	const h = 1e-4
-	tmp := make([]float64, len(g))
+	if cap(s.probe) < len(g) {
+		s.probe = make([]float64, len(g))
+	}
+	tmp := s.probe[:len(g)]
 	copy(tmp, g)
 	for k := range g {
 		tmp[k] = g[k] + h

@@ -221,3 +221,88 @@ func BenchmarkTSNE200(b *testing.B) {
 		_ = TSNE(pts, cfg)
 	}
 }
+
+// refLOF is LOF with its neighbourhoods chosen by selection instead of
+// a sort: k times the nearest remaining point, the lower index among
+// equals. It is the tie order LOF promises, spelled out.
+func refLOF(x [][]float64, k int) []float64 {
+	n := len(x)
+	nbrs := make([][]int, n)
+	kdist := make([]float64, n)
+	for i := range x {
+		taken := make([]bool, n)
+		taken[i] = true
+		for range k {
+			best := -1
+			for j := range x {
+				if !taken[j] && (best < 0 || euclid(x[i], x[j]) < euclid(x[i], x[best])) {
+					best = j
+				}
+			}
+			taken[best] = true
+			nbrs[i] = append(nbrs[i], best)
+		}
+		kdist[i] = euclid(x[i], x[nbrs[i][k-1]])
+	}
+	lrd := make([]float64, n)
+	for i := range x {
+		var reachSum float64
+		for _, j := range nbrs[i] {
+			reachSum += math.Max(euclid(x[i], x[j]), kdist[j])
+		}
+		lrd[i] = math.Inf(1)
+		if reachSum != 0 {
+			lrd[i] = float64(k) / reachSum
+		}
+	}
+	out := make([]float64, n)
+	for i := range x {
+		var s float64
+		for _, j := range nbrs[i] {
+			s += lrd[j]
+		}
+		s /= float64(k)
+		switch {
+		case math.IsInf(lrd[i], 1) && math.IsInf(s, 1):
+			out[i] = 1
+		case math.IsInf(lrd[i], 1):
+			out[i] = 0
+		default:
+			out[i] = s / lrd[i]
+		}
+	}
+	return out
+}
+
+// TestLOFTiesGoToLowerIndex: on a lattice full of duplicated points and
+// equal distances, LOF matches the selection reference bit for bit.
+func TestLOFTiesGoToLowerIndex(t *testing.T) {
+	r := xrand.New(4)
+	pts := make([][]float64, 60)
+	for i := range pts {
+		pts[i] = []float64{float64(r.Intn(5)), float64(r.Intn(4)), float64(r.Intn(2))}
+	}
+	for _, k := range []int{3, 7, 12} {
+		got, want := LOF(pts, k), refLOF(pts, k)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("k=%d: LOF[%d] = %v, reference %v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTopOutliersTiesKeepIndexOrder: equal scores rank by index.
+func TestTopOutliersTiesKeepIndexOrder(t *testing.T) {
+	scores := make([]float64, 50)
+	for i := range scores {
+		scores[i] = float64((i * 7) % 3)
+	}
+	top := TopOutliers(scores, len(scores))
+	for i := 1; i < len(top); i++ {
+		a, b := top[i-1], top[i]
+		if scores[a] < scores[b] || scores[a] == scores[b] && a > b {
+			t.Fatalf("rank %d: index %d (score %v) before index %d (score %v)", i, a, scores[a], b, scores[b])
+		}
+	}
+}

@@ -7,6 +7,7 @@ package latent
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,7 +35,17 @@ func LOF(x [][]float64, k int) []float64 {
 			}
 			all = append(all, nb{j, euclid(x[i], x[j])})
 		}
-		sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
+		// Equidistant neighbours go to the lower index, so the
+		// neighbourhood and reachSum's summation order are defined.
+		slices.SortFunc(all, func(a, b nb) int {
+			switch {
+			case a.d < b.d:
+				return -1
+			case a.d > b.d:
+				return 1
+			}
+			return a.idx - b.idx
+		})
 		neighbors[i] = all[:k]
 		kdist[i] = all[k-1].d
 	}
@@ -76,13 +87,16 @@ func LOF(x [][]float64, k int) []float64 {
 }
 
 // TopOutliers returns the indices of the m largest LOF scores, most
-// anomalous first.
+// anomalous first; equal scores keep index order.
 func TopOutliers(scores []float64, m int) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	sort.Slice(idx, func(a, b int) bool {
+		sa, sb := scores[idx[a]], scores[idx[b]]
+		return sa > sb || sa == sb && idx[a] < idx[b]
+	})
 	if m > len(idx) {
 		m = len(idx)
 	}

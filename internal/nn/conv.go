@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"impeccable/internal/par"
 	"impeccable/internal/xrand"
 )
 
@@ -23,10 +24,6 @@ type Conv2D struct {
 
 	W *Param // OutC × (InC·K·K)
 	B *Param // 1 × OutC
-
-	x    *Mat // cached input
-	cols *Mat // cached im2col of x: (R·OutH·OutW) × (InC·K·K)
-	g2   *Mat // cached grad reshape: (R·OutH·OutW) × OutC
 }
 
 // NewConv2D builds a convolution layer with He initialization.
@@ -86,7 +83,8 @@ func (c *Conv2D) forwardInto(out, cols, x *Mat) {
 	pos, kd := oh*ow, c.kdim()
 	flops := int64(x.R) * int64(c.OutC) * int64(pos) * int64(kd)
 	w := kernelWorkers(x.R, flops)
-	parallelRanges(x.R, w, func(lo, hi int) {
+	par.For(w, func(i int) {
+		lo, hi := span(x.R, w, i)
 		for s := lo; s < hi; s++ {
 			c.im2colSample(cols, x.Row(s), s)
 			o := out.Row(s)
@@ -122,21 +120,16 @@ func (c *Conv2D) forwardInto(out, cols, x *Mat) {
 	})
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *Mat) *Mat {
-	c.x = x
-	rows, kd := x.R*c.OutH()*c.OutW(), c.kdim()
-	if c.cols == nil || c.cols.R != rows || c.cols.C != kd {
-		c.cols = NewMat(rows, kd)
-	}
-	out := NewMat(x.R, c.OutDim())
-	c.forwardInto(out, c.cols, x)
-	return out
+func (c *Conv2D) forward(t *tape, x *Mat) *Mat {
+	t.x = x
+	t.cols = Reuse(t.cols, x.R*c.OutH()*c.OutW(), c.kdim())
+	t.out = Reuse(t.out, x.R, c.OutDim())
+	c.forwardInto(t.out, t.cols, x)
+	return t.out
 }
 
-// Infer implements Inferencer: the same arithmetic as Forward with all
-// scratch (patch matrix and output) drawn from the arena and no layer
-// state written, so concurrent callers may share the layer.
+// Infer implements Inferencer: forward's arithmetic with all scratch
+// (patch matrix and output) drawn from the arena.
 func (c *Conv2D) Infer(x *Mat, ar *Arena) *Mat {
 	cols := ar.Mat(x.R*c.OutH()*c.OutW(), c.kdim())
 	out := ar.Mat(x.R, c.OutDim())
@@ -144,50 +137,42 @@ func (c *Conv2D) Infer(x *Mat, ar *Arena) *Mat {
 	return out
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *Mat) *Mat {
+// backward reshapes grad for commit and scatters dx. The weight
+// gradient is one chain over every sample and position, whatever the
+// segmentation.
+func (c *Conv2D) backward(t *tape, grad *Mat, _ int) *Mat {
 	oh, ow := c.OutH(), c.OutW()
 	pos := oh * ow
-	if c.x == nil || grad.R != c.x.R || grad.C != c.OutDim() {
+	if t.x == nil || grad.R != t.x.R || grad.C != c.OutDim() {
 		panic(fmt.Sprintf("nn: Conv2D.Backward grad %dx%d does not match last Forward", grad.R, grad.C))
 	}
 	// Reshape grad to (s, position) rows × OutC columns so the k
 	// dimension of aᵀ·b walks (s, p) in the direct loop's order.
-	if c.g2 == nil || c.g2.R != grad.R*pos || c.g2.C != c.OutC {
-		c.g2 = NewMat(grad.R*pos, c.OutC)
-	}
+	t.g2 = Reuse(t.g2, grad.R*pos, c.OutC)
 	for s := 0; s < grad.R; s++ {
 		g := grad.Row(s)
 		for p := 0; p < pos; p++ {
-			row := c.g2.Row(s*pos + p)
+			row := t.g2.Row(s*pos + p)
 			for oc := 0; oc < c.OutC; oc++ {
 				row[oc] = g[oc*pos+p]
 			}
 		}
 	}
-	// dB: column sums of the reshaped grad, rows in (s, p) order.
-	for k := 0; k < c.g2.R; k++ {
-		row := c.g2.Row(k)
-		for oc, gv := range row {
-			c.B.G.V[oc] += gv
-		}
-	}
-	// dW += gradᵀ·patches, accumulated term-by-term into W.G exactly as
-	// the direct loop did (reduction over (s, p) in order).
-	matMulATBAccInto(c.W.G, c.g2, c.cols)
 	// dIn: scatter grad·W back through the receptive fields. Kept in the
 	// direct loop's oc-major order per sample; samples are independent
 	// rows, so this parallelizes without changing any accumulator chain.
 	// Zero grads are skipped only while the weights are all finite, so
 	// 0·NaN and 0·±Inf still propagate.
-	dx := NewMat(c.x.R, c.x.C)
+	t.dx = Reuse(t.dx, t.x.R, t.x.C)
+	clear(t.dx.V)
 	skipZero := allFinite(c.W.W.V)
 	flops := int64(grad.R) * int64(c.OutC) * int64(pos) * int64(c.kdim())
 	w := kernelWorkers(grad.R, flops)
-	parallelRanges(grad.R, w, func(lo, hi int) {
+	par.For(w, func(i int) {
+		lo, hi := span(grad.R, w, i)
 		for s := lo; s < hi; s++ {
 			g := grad.Row(s)
-			dIn := dx.Row(s)
+			dIn := t.dx.Row(s)
 			for oc := 0; oc < c.OutC; oc++ {
 				wrow := c.W.W.Row(oc)
 				for y := 0; y < oh; y++ {
@@ -211,7 +196,19 @@ func (c *Conv2D) Backward(grad *Mat) *Mat {
 			}
 		}
 	})
-	return dx
+	return t.dx
+}
+
+// commit adds dB, the column sums of the reshaped grad with rows in
+// (s, p) order, and dW += gradᵀ·patches, accumulated term by term into
+// W.G exactly as the direct loop did (reduction over (s, p) in order).
+func (c *Conv2D) commit(t *tape) {
+	for k := 0; k < t.g2.R; k++ {
+		for oc, gv := range t.g2.Row(k) {
+			c.B.G.V[oc] += gv
+		}
+	}
+	matMulATBAccInto(c.W.G, t.g2, t.cols)
 }
 
 // Params implements Layer.
@@ -220,8 +217,7 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 // MaxPool2D is a non-overlapping 2-D max pool (window = stride = P).
 type MaxPool2D struct {
 	C, H, W, P int
-	argmax     []int // per output element, input index of the max
-	inCols     int
+	activation
 }
 
 // NewMaxPool2D builds a pool layer over C×H×W inputs.
@@ -265,18 +261,18 @@ func (m *MaxPool2D) poolSample(in, o []float64, argmax []int) {
 	}
 }
 
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *Mat) *Mat {
-	out := NewMat(x.R, m.OutDim())
-	m.inCols = x.C
-	if cap(m.argmax) < x.R*out.C {
-		m.argmax = make([]int, x.R*out.C)
+func (m *MaxPool2D) forward(t *tape, x *Mat) *Mat {
+	t.x = x
+	t.out = Reuse(t.out, x.R, m.OutDim())
+	n := x.R * t.out.C
+	if cap(t.argmax) < n {
+		t.argmax = make([]int, n)
 	}
-	m.argmax = m.argmax[:x.R*out.C]
+	t.argmax = t.argmax[:n]
 	for s := 0; s < x.R; s++ {
-		m.poolSample(x.Row(s), out.Row(s), m.argmax[s*out.C:(s+1)*out.C])
+		m.poolSample(x.Row(s), t.out.Row(s), t.argmax[s*t.out.C:(s+1)*t.out.C])
 	}
-	return out
+	return t.out
 }
 
 // Infer implements Inferencer: pools without recording argmax or
@@ -289,24 +285,21 @@ func (m *MaxPool2D) Infer(x *Mat, ar *Arena) *Mat {
 	return out
 }
 
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(grad *Mat) *Mat {
-	if grad.C != m.OutDim() || grad.R*grad.C != len(m.argmax) {
+func (m *MaxPool2D) backward(t *tape, grad *Mat, _ int) *Mat {
+	if grad.C != m.OutDim() || grad.R*grad.C != len(t.argmax) {
 		panic(fmt.Sprintf(
 			"nn: MaxPool2D.Backward grad %dx%d does not match last Forward (argmax for %d elements of dim %d); "+
 				"running Forward on another batch between Forward and Backward is not supported",
-			grad.R, grad.C, len(m.argmax)/max(m.OutDim(), 1), m.OutDim()))
+			grad.R, grad.C, len(t.argmax)/max(m.OutDim(), 1), m.OutDim()))
 	}
-	dx := NewMat(grad.R, m.inCols)
+	t.dx = Reuse(t.dx, grad.R, t.x.C)
+	clear(t.dx.V)
 	for s := 0; s < grad.R; s++ {
 		g := grad.Row(s)
-		d := dx.Row(s)
+		d := t.dx.Row(s)
 		for oi, gv := range g {
-			d[m.argmax[s*grad.C+oi]] += gv
+			d[t.argmax[s*grad.C+oi]] += gv
 		}
 	}
-	return dx
+	return t.dx
 }
-
-// Params implements Layer.
-func (m *MaxPool2D) Params() []*Param { return nil }

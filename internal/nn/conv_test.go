@@ -17,7 +17,7 @@ func TestConv2DKnownKernel(t *testing.T) {
 	c.W.W.V[4] = 1 // center tap
 	c.B.W.V[0] = 0.5
 	x := FromRows([][]float64{{1, 2, 3, 4, 5, 6, 7, 8, 9}})
-	y := c.Forward(x)
+	y := NewSequential(c).Forward(x)
 	if y.R != 1 || y.C != 1 {
 		t.Fatalf("output shape %dx%d", y.R, y.C)
 	}
@@ -57,7 +57,7 @@ func TestMaxPoolForward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}})
-	y := p.Forward(x)
+	y := NewSequential(p).Forward(x)
 	want := []float64{6, 8, 14, 16}
 	for i, v := range y.V {
 		if v != want[i] {
@@ -67,10 +67,10 @@ func TestMaxPoolForward(t *testing.T) {
 }
 
 func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
-	p := NewMaxPool2D(1, 2, 2, 2)
+	net := NewSequential(NewMaxPool2D(1, 2, 2, 2))
 	x := FromRows([][]float64{{1, 9, 3, 4}})
-	p.Forward(x)
-	g := p.Backward(FromRows([][]float64{{2}}))
+	net.Forward(x)
+	g := net.Backward(FromRows([][]float64{{2}}))
 	want := []float64{0, 2, 0, 0}
 	for i, v := range g.V {
 		if v != want[i] {
@@ -134,7 +134,7 @@ func TestConvDeterministic(t *testing.T) {
 		for i := range x.V {
 			x.V[i] = rr.NormFloat64()
 		}
-		out := c.Forward(x)
+		out := NewSequential(c).Forward(x)
 		var s float64
 		for _, v := range out.V {
 			s += v
@@ -148,13 +148,13 @@ func TestConvDeterministic(t *testing.T) {
 
 func BenchmarkConvForward16(b *testing.B) {
 	r := xrand.New(1)
-	c := NewConv2D(3, 16, 16, 8, 3, r)
+	net := NewSequential(NewConv2D(3, 16, 16, 8, 3, r))
 	x := NewMat(32, 3*16*16)
 	for i := range x.V {
 		x.V[i] = r.NormFloat64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Forward(x)
+		_ = net.Forward(x)
 	}
 }

@@ -86,7 +86,7 @@ func TestConv2DForwardMatchesDirect(t *testing.T) {
 		c := NewConv2D(3, 8, 8, 4, 3, r)
 		x := NewMat(batch, 3*8*8)
 		fillMixed(x, r)
-		assertMatBits(t, "Conv2D.Forward", c.Forward(x), directConvForward(c, x))
+		assertMatBits(t, "Conv2D forward", NewSequential(c).Forward(x), directConvForward(c, x))
 	}
 }
 
@@ -95,7 +95,8 @@ func TestConv2DBackwardMatchesDirect(t *testing.T) {
 	c := NewConv2D(2, 7, 7, 3, 3, r)
 	x := NewMat(4, 2*7*7)
 	fillMixed(x, r)
-	out := c.Forward(x)
+	net := NewSequential(c)
+	out := net.Forward(x)
 	grad := NewMat(out.R, out.C)
 	fillMixed(grad, r)
 	// Sprinkle exact zeros to exercise the finite-guarded skip in dIn
@@ -103,7 +104,7 @@ func TestConv2DBackwardMatchesDirect(t *testing.T) {
 	for i := 0; i < len(grad.V); i += 3 {
 		grad.V[i] = 0
 	}
-	dx := c.Backward(grad)
+	dx := net.Backward(grad)
 	wantDW, wantDB, wantDx := directConvBackward(c, x, grad)
 	assertMatBits(t, "Conv2D dW", c.W.G, wantDW)
 	assertMatBits(t, "Conv2D dB", c.B.G, wantDB)
@@ -114,13 +115,14 @@ func TestConv2DBackwardShapeGuard(t *testing.T) {
 	r := xrand.New(8)
 	c := NewConv2D(1, 6, 6, 2, 3, r)
 	x := NewMat(3, 36)
-	c.Forward(x)
+	net := NewSequential(c)
+	net.Forward(x)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Backward accepted a grad from a different batch size")
 		}
 	}()
-	c.Backward(NewMat(5, c.OutDim()))
+	net.Backward(NewMat(5, c.OutDim()))
 }
 
 func TestSequentialInferMatchesForwardMLP(t *testing.T) {
@@ -195,7 +197,7 @@ func TestInferLeavesNoState(t *testing.T) {
 // Now it must panic with a diagnosable message.
 func TestMaxPoolInterleavedBatchPanics(t *testing.T) {
 	r := xrand.New(13)
-	m := NewMaxPool2D(2, 4, 4, 2)
+	m := NewSequential(NewMaxPool2D(2, 4, 4, 2))
 	x4 := NewMat(4, 32)
 	fillMixed(x4, r)
 	out4 := m.Forward(x4)

@@ -26,8 +26,9 @@ package nn
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
+
+	"impeccable/internal/par"
 )
 
 // kernelParallelFlops is the minimum number of multiply-adds a goroutine
@@ -35,55 +36,16 @@ import (
 // and scheduling overhead beats the win on every core count we target.
 const kernelParallelFlops = 1 << 17
 
-// kernelWorkers sizes the goroutine fan-out for a kernel processing
-// `units` independent slices of `flops` total multiply-adds.
+// kernelWorkers sizes the fan-out for a kernel processing `units`
+// independent slices of `flops` total multiply-adds: no wider than the
+// goroutines par.For could run on now. Callers at 1 call the kernel body
+// directly, so the inline path builds no closure.
 func kernelWorkers(units int, flops int64) int {
-	p := runtime.GOMAXPROCS(0)
-	if p <= 1 || flops < 2*kernelParallelFlops {
-		return 1
-	}
-	w := int(flops / kernelParallelFlops)
-	if w > p {
-		w = p
-	}
-	if w > units {
-		w = units
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return int(max(1, min(int64(par.Width()), flops/kernelParallelFlops, int64(units))))
 }
 
-// parallelRanges splits [0, n) into `w` contiguous ranges and invokes fn
-// on each, concurrently when w > 1. fn must touch only its own range, so
-// the result is deterministic regardless of scheduling.
-func parallelRanges(n, w int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+// span returns the i-th of w contiguous ranges that split [0, n).
+func span(n, w, i int) (lo, hi int) { return i * n / w, (i + 1) * n / w }
 
 // allFinite reports whether every element of v is finite. x-x is 0 for
 // finite values and NaN for NaN and ±Inf, and NaN survives any sum, so
@@ -117,10 +79,14 @@ func MatMulInto(dst, a, b *Mat) *Mat {
 	// Zero multipliers from a may be skipped only while b is all-finite;
 	// b is scanned only when a has a zero to skip.
 	skipZero := hasZero(a.V) && allFinite(b.V)
-	w := kernelWorkers(a.R, int64(a.R)*int64(a.C)*int64(b.C))
-	parallelRanges(a.R, w, func(lo, hi int) {
-		matMulRows(dst, a, b, lo, hi, skipZero)
-	})
+	if w := kernelWorkers(a.R, int64(a.R)*int64(a.C)*int64(b.C)); w > 1 {
+		par.For(w, func(i int) {
+			lo, hi := span(a.R, w, i)
+			matMulRows(dst, a, b, lo, hi, skipZero)
+		})
+	} else {
+		matMulRows(dst, a, b, 0, a.R, skipZero)
+	}
 	return dst
 }
 
@@ -205,26 +171,35 @@ func matMulATB(dst, a, b *Mat, acc bool) {
 	// the scan would cost as much as the multiply for the one-row-per-
 	// sample gradients that accumulate here.
 	skipZero := !acc && hasZero(a.V) && allFinite(b.V)
-	ks := nonZeroRows(b)
+	buf := rowLists.Get().(*[]int)
+	ks := nonZeroRows((*buf)[:0], b)
 	if len(ks) < b.R && (!allFinite(a.V) || acc && hasNegZero(dst.V)) {
 		ks = ks[:0]
 		for k := 0; k < b.R; k++ {
 			ks = append(ks, k)
 		}
 	}
-	w := kernelWorkers(a.C, int64(len(ks))*int64(a.C)*int64(b.C))
-	parallelRanges(a.C, w, func(lo, hi int) {
-		matMulATBCols(dst, a, b, ks, lo, hi, acc, skipZero)
-	})
+	if w := kernelWorkers(a.C, int64(len(ks))*int64(a.C)*int64(b.C)); w > 1 {
+		par.For(w, func(i int) {
+			lo, hi := span(a.C, w, i)
+			matMulATBCols(dst, a, b, ks, lo, hi, acc, skipZero)
+		})
+	} else {
+		matMulATBCols(dst, a, b, ks, 0, a.C, acc, skipZero)
+	}
+	*buf = ks
+	rowLists.Put(buf)
 }
 
-// nonZeroRows lists the rows of b that hold a nonzero element. A row
+// rowLists recycles nonZeroRows' lists, one per matMulATB in flight.
+var rowLists = sync.Pool{New: func() any { return new([]int) }}
+
+// nonZeroRows appends to ks the rows of b that hold a nonzero element. A row
 // left out contributes only a·0 = ±0 terms, which leave any chain that
 // is not −0 unchanged when a is finite. After the AAE's max-pool scatter
 // most gradient rows are zero, so the list is usually far shorter than
 // b.R.
-func nonZeroRows(b *Mat) []int {
-	ks := make([]int, 0, b.R)
+func nonZeroRows(ks []int, b *Mat) []int {
 	for k := 0; k < b.R; k++ {
 		if !allZero(b.V[k*b.C : (k+1)*b.C]) {
 			ks = append(ks, k)
@@ -297,10 +272,14 @@ func MatMulABTInto(dst, a, b *Mat) *Mat {
 	// every term is ±0 and a chain from +0 stays +0. b is scanned only
 	// when a has such a row.
 	skipZero := hasZeroRow(a) && allFinite(b.V)
-	w := kernelWorkers(a.R, int64(a.R)*int64(a.C)*int64(b.R))
-	parallelRanges(a.R, w, func(lo, hi int) {
-		matMulABTRows(dst, a, b, lo, hi, skipZero)
-	})
+	if w := kernelWorkers(a.R, int64(a.R)*int64(a.C)*int64(b.R)); w > 1 {
+		par.For(w, func(i int) {
+			lo, hi := span(a.R, w, i)
+			matMulABTRows(dst, a, b, lo, hi, skipZero)
+		})
+	} else {
+		matMulABTRows(dst, a, b, 0, a.R, skipZero)
+	}
 	return dst
 }
 

@@ -143,7 +143,7 @@ func TestLeakyReLUGradient(t *testing.T) {
 }
 
 func TestReLUForwardBackward(t *testing.T) {
-	a := &ReLU{}
+	a := NewSequential(&ReLU{})
 	x := FromRows([][]float64{{-1, 2, -3, 4}})
 	y := a.Forward(x)
 	want := []float64{0, 2, 0, 4}
@@ -348,5 +348,52 @@ func BenchmarkMLPForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = net.Forward(x)
+	}
+}
+
+// TestRecordsCommittedInOrderMatchOneRecord splits a stack of samples
+// over three records that run forward and backward concurrently, then
+// commits them in sample order: every parameter gradient, output and
+// input gradient must match one record running the whole stack.
+func TestRecordsCommittedInOrderMatchOneRecord(t *testing.T) {
+	const rows, perRecord, records = 3, 2, 3 // samples of 3 rows, 2 per record
+	build := func() *Sequential {
+		r := xrand.New(21)
+		return NewSequential(NewDense(4, 6, r), &ReLU{}, NewDense(6, 5, r), &Tanh{})
+	}
+	r := xrand.New(22)
+	x := NewMat(rows*perRecord*records, 4)
+	grad := NewMat(x.R, 5)
+	fillMixed(x, r)
+	fillMixed(grad, r)
+
+	whole := build()
+	wantOut := whole.Forward(x).Clone()
+	wantDx := whole.BackwardRows(grad, rows).Clone()
+
+	split := build()
+	recs := make([]*Record, records)
+	outs, dxs := make([]*Mat, records), make([]*Mat, records)
+	done := make(chan int)
+	for i := range recs {
+		recs[i] = split.NewRecord()
+		go func() {
+			lo, hi := i*rows*perRecord, (i+1)*rows*perRecord
+			outs[i] = recs[i].Forward(x.Rows(lo, hi))
+			dxs[i] = recs[i].Backward(grad.Rows(lo, hi), rows)
+			done <- i
+		}()
+	}
+	for range recs {
+		<-done
+	}
+	for i, rec := range recs {
+		rec.Commit()
+		lo, hi := i*rows*perRecord, (i+1)*rows*perRecord
+		assertMatBits(t, "record output", outs[i], wantOut.Rows(lo, hi))
+		assertMatBits(t, "record input gradient", dxs[i], wantDx.Rows(lo, hi))
+	}
+	for i, p := range split.Params() {
+		assertMatBits(t, "parameter gradient", p.G, whole.Params()[i].G)
 	}
 }

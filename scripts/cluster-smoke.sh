@@ -14,11 +14,17 @@
 #
 # Environment:
 #   STATE_DIR   coordinator state dir (default ./cluster-state);
-#               uploaded as a CI artifact on failure
+#               emptied first, so a rerun never reopens an earlier
+#               attempt's jobs; an empty value or / is refused.
+#               Uploaded as a CI artifact on failure
 #   ADDR        coordinator listen address (default 127.0.0.1:18080)
 set -euo pipefail
 
-STATE_DIR=${STATE_DIR:-cluster-state}
+STATE_DIR=${STATE_DIR-cluster-state}
+if [ -z "$STATE_DIR" ] || [ "$(realpath -m -- "$STATE_DIR")" = / ]; then
+  echo "cluster-smoke: refusing to empty STATE_DIR='$STATE_DIR'" >&2
+  exit 2
+fi
 ADDR=${ADDR:-127.0.0.1:18080}
 BASE="http://$ADDR"
 BIN=$(mktemp -d)
@@ -53,7 +59,8 @@ metric_value() {
   awk -v name="$2" '$1 == name { print $2; found=1 } END { if (!found) print 0 }' "$1"
 }
 
-echo "== starting coordinator (zero in-process workers)"
+echo "== starting coordinator (zero in-process workers) on an empty $STATE_DIR"
+rm -rf -- "$STATE_DIR"
 mkdir -p "$STATE_DIR"
 "$BIN/impeccable-server" -addr "$ADDR" -workers 0 -state-dir "$STATE_DIR" \
   -lease-ttl 3s -tenant 'flood,weight=1' -tenant 'light,weight=1' \
