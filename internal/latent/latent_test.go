@@ -156,54 +156,6 @@ func TestTSNEDeterministic(t *testing.T) {
 	}
 }
 
-func TestKMeansRecoversClusters(t *testing.T) {
-	r := xrand.New(7)
-	a := gaussianCluster(r, 50, 3, 0, 0.4)
-	b := gaussianCluster(r, 50, 3, 8, 0.4)
-	pts := append(a, b...)
-	res := KMeans(pts, 2, 50, 1)
-	// All of cluster a must share one label, all of b the other.
-	la := res.Assign[0]
-	for i := 1; i < 50; i++ {
-		if res.Assign[i] != la {
-			t.Fatalf("cluster a split: %v", res.Assign[:50])
-		}
-	}
-	lb := res.Assign[50]
-	if lb == la {
-		t.Fatal("clusters merged")
-	}
-	for i := 51; i < 100; i++ {
-		if res.Assign[i] != lb {
-			t.Fatalf("cluster b split")
-		}
-	}
-	if res.Inertia <= 0 {
-		t.Fatalf("inertia = %v", res.Inertia)
-	}
-}
-
-func TestKMeansEdgeCases(t *testing.T) {
-	if res := KMeans(nil, 3, 10, 1); res.Assign != nil {
-		t.Fatal("empty input should produce empty result")
-	}
-	pts := gaussianCluster(xrand.New(8), 3, 2, 0, 1)
-	res := KMeans(pts, 10, 10, 1) // k > n
-	if len(res.Centroids) != 3 {
-		t.Fatalf("k clamped wrong: %d centroids", len(res.Centroids))
-	}
-}
-
-func TestKMeansInertiaDecreasesWithK(t *testing.T) {
-	r := xrand.New(9)
-	pts := gaussianCluster(r, 120, 4, 0, 2)
-	i2 := KMeans(pts, 2, 50, 3).Inertia
-	i8 := KMeans(pts, 8, 50, 3).Inertia
-	if i8 >= i2 {
-		t.Fatalf("inertia did not decrease with k: k=2 %v, k=8 %v", i2, i8)
-	}
-}
-
 func BenchmarkLOF500(b *testing.B) {
 	pts := gaussianCluster(xrand.New(1), 500, 16, 0, 1)
 	b.ResetTimer()

@@ -1,8 +1,7 @@
 // Package latent provides the latent-space analysis toolkit of the S2
 // stage: local outlier factor (LOF) detection for selecting "interesting"
-// protein-ligand conformations from 3D-AAE embeddings (§5.1.4), exact
-// t-SNE for the latent-space visualizations of Fig. 5C, and k-means for
-// conformational substate clustering (§3.2 S2).
+// protein-ligand conformations from 3D-AAE embeddings (§5.1.4) and exact
+// t-SNE for the latent-space visualizations of Fig. 5C.
 package latent
 
 import (

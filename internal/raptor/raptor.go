@@ -16,8 +16,7 @@
 //     does not strand work behind a slow compound.
 //
 // The overlay runs in simulated time (durations + DES clock: the §8
-// "40 M docks/hour on 4000 nodes" reproduction) or in real time (Go
-// functions on goroutine worker pools).
+// "40 M docks/hour on 4000 nodes" reproduction).
 package raptor
 
 import (
@@ -351,72 +350,4 @@ func (o *Overlay) crash(m *simMaster, w *simWorker) {
 		o.tryDispatch(m)
 		o.mu.Unlock()
 	})
-}
-
-// RunReal executes real function calls over goroutine worker pools with
-// the same master/bulk structure, returning wall-clock statistics.
-func (o *Overlay) RunReal(fns []func()) Stats {
-	start := o.Clock.Now()
-	type bulk struct{ fns []func() }
-	var wg sync.WaitGroup
-	dispatched := make([]int, o.Cfg.Masters)
-	var bulkCount int
-	var bulkMu sync.Mutex
-
-	// Partition across masters round-robin.
-	partitions := make([][]func(), o.Cfg.Masters)
-	for i, fn := range fns {
-		m := i % o.Cfg.Masters
-		partitions[m] = append(partitions[m], fn)
-		dispatched[m]++
-	}
-	workersPerMaster := o.Cfg.Workers / o.Cfg.Masters
-	if workersPerMaster < 1 {
-		workersPerMaster = 1
-	}
-	for mi := 0; mi < o.Cfg.Masters; mi++ {
-		work := partitions[mi]
-		ch := make(chan bulk)
-		for w := 0; w < workersPerMaster; w++ {
-			for s := 0; s < o.Cfg.SlotsPerWorker; s++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for b := range ch {
-						for _, fn := range b.fns {
-							fn()
-						}
-					}
-				}()
-			}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for at := 0; at < len(work); at += o.Cfg.BulkSize {
-				end := at + o.Cfg.BulkSize
-				if end > len(work) {
-					end = len(work)
-				}
-				ch <- bulk{fns: work[at:end]}
-				bulkMu.Lock()
-				bulkCount++
-				bulkMu.Unlock()
-			}
-			close(ch)
-		}()
-	}
-	wg.Wait()
-	endT := o.Clock.Now()
-	st := Stats{
-		Calls:      len(fns),
-		Start:      start,
-		End:        endT,
-		Dispatched: dispatched,
-		Bulks:      bulkCount,
-	}
-	if endT > start {
-		st.Throughput = float64(len(fns)) / (endT - start)
-	}
-	return st
 }

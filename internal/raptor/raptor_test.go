@@ -2,7 +2,6 @@ package raptor
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"impeccable/internal/hpc"
@@ -169,27 +168,6 @@ func TestDeterministicSim(t *testing.T) {
 	a, b := run(), run()
 	if a.End != b.End || a.Throughput != b.Throughput || a.Bulks != b.Bulks {
 		t.Fatalf("sim not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestRunReal(t *testing.T) {
-	clk := hpc.NewRealClock()
-	cfg := DefaultConfig(4)
-	cfg.Masters = 2
-	cfg.SlotsPerWorker = 2
-	cfg.BulkSize = 16
-	o := New(clk, cfg)
-	var ran atomic.Int64
-	fns := make([]func(), 1000)
-	for i := range fns {
-		fns[i] = func() { ran.Add(1) }
-	}
-	st := o.RunReal(fns)
-	if ran.Load() != 1000 {
-		t.Fatalf("ran = %d", ran.Load())
-	}
-	if st.Calls != 1000 || st.Bulks == 0 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -1,13 +1,25 @@
-// In-process lease holders: the -workers=N path is the lease protocol
-// driven by function call, so everything a lease can suffer — user
-// cancel, preemption — applies to in-process runs too.
+// Lease holders. The TestHolder* tests pin Holder's one policy against
+// a fake transport and stub science; the TestInProcess* tests show the
+// -workers=N path is the lease protocol driven by function call, so
+// everything a lease can suffer — user cancel, preemption — applies to
+// in-process runs too.
 package service
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"impeccable/internal/campaign"
+	"impeccable/internal/dock"
+	"impeccable/internal/receptor"
 )
 
 // waitLocalLease polls until an in-process holder has the job.
@@ -155,4 +167,238 @@ func journalKinds(t *testing.T, dir, id string) string {
 		}
 	}
 	return strings.Join(kinds, ",")
+}
+
+// fakeTransport grants one job and records what the holder sends back;
+// onBeat answers the n-th heartbeat (1-based), nil meaning success.
+type fakeTransport struct {
+	grant  *LeaseGrant
+	onBeat func(n int, stage string) error
+
+	mu        sync.Mutex
+	beats     []string  // stage of each heartbeat, in order
+	fracs     []float64 // progress of each heartbeat, in order
+	completes []WorkerResult
+}
+
+func (f *fakeTransport) Lease(context.Context) (*LeaseGrant, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	g := f.grant
+	f.grant = nil
+	return g, nil
+}
+
+func (f *fakeTransport) Heartbeat(_ context.Context, _ *LeaseGrant, stage string, progress float64) error {
+	f.mu.Lock()
+	f.beats = append(f.beats, stage)
+	f.fracs = append(f.fracs, progress)
+	n := len(f.beats)
+	f.mu.Unlock()
+	if f.onBeat == nil {
+		return nil
+	}
+	return f.onBeat(n, stage)
+}
+
+func (f *fakeTransport) Complete(_ context.Context, _ *LeaseGrant, res WorkerResult, _ *campaign.Result) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.completes = append(f.completes, res)
+	return nil
+}
+
+func (f *fakeTransport) seen() (beats []string, fracs []float64, completes []WorkerResult) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.beats), slices.Clone(f.fracs), slices.Clone(f.completes)
+}
+
+// fakeHolder wires a holder to a one-job fake transport and a stub in
+// place of the science, so the policy runs in milliseconds.
+func fakeHolder(target string, ttl time.Duration, run func(campaign.Config) (*campaign.Result, error)) (*Holder, *fakeTransport) {
+	tr := &fakeTransport{grant: &LeaseGrant{JobID: "job-000001", Req: SubmitRequest{Target: target}, TTLSeconds: ttl.Seconds()}}
+	return &Holder{
+		Transport: tr,
+		Name:      "test-holder",
+		Targets:   map[string]*receptor.Target{"PLPro": receptor.PLPro()},
+		Scores:    func(*LeaseGrant) (dock.ScoreCache, func(*WorkerResult)) { return nil, nil },
+		Logf:      func(string, ...any) {},
+		run: func(cfg campaign.Config, _ *campaign.Pool, _ uint64) (*campaign.Result, error) {
+			return run(cfg)
+		},
+	}, tr
+}
+
+// untilCanceled is a stub campaign that reports one stage and then runs
+// until its cancel channel closes (or, if it never does, ends well).
+func untilCanceled(canceled *atomic.Bool) func(campaign.Config) (*campaign.Result, error) {
+	return func(cfg campaign.Config) (*campaign.Result, error) {
+		cfg.Progress("s1-train", 0.02)
+		select {
+		case <-cfg.Cancel:
+			canceled.Store(true)
+			return nil, campaign.ErrCanceled
+		case <-time.After(10 * time.Second):
+			return &campaign.Result{}, nil
+		}
+	}
+}
+
+// runOne runs the holder's single job and checks one was leased.
+func runOne(t *testing.T, ctx context.Context, h *Holder) {
+	t.Helper()
+	if ran, err := h.RunOne(ctx); !ran || err != nil {
+		t.Fatalf("RunOne = %v, %v", ran, err)
+	}
+}
+
+// TestHolderLeaseLostAborts: a heartbeat answered lease-lost aborts the
+// run, which is abandoned — nothing is completed.
+func TestHolderLeaseLostAborts(t *testing.T) {
+	var canceled atomic.Bool
+	h, tr := fakeHolder("PLPro", 30*time.Second, untilCanceled(&canceled))
+	tr.onBeat = func(int, string) error { return fmt.Errorf("%w: job is canceled", ErrLeaseLost) }
+	runOne(t, context.Background(), h)
+	if _, _, completes := tr.seen(); !canceled.Load() || len(completes) != 0 {
+		t.Fatalf("canceled=%v, completes=%+v; want an abort and no complete", canceled.Load(), completes)
+	}
+}
+
+// TestHolderBeatErrorsAbortAfterFullTTL: failed deliveries abort the
+// run only once a full TTL has passed without a successful beat; a
+// success in between restarts the count.
+func TestHolderBeatErrorsAbortAfterFullTTL(t *testing.T) {
+	down := errors.New("connection refused")
+	t.Run("never recovers", func(t *testing.T) {
+		const ttl = 300 * time.Millisecond
+		var canceled atomic.Bool
+		h, tr := fakeHolder("PLPro", ttl, untilCanceled(&canceled))
+		tr.onBeat = func(int, string) error { return down }
+		start := time.Now()
+		runOne(t, context.Background(), h)
+		if _, _, completes := tr.seen(); !canceled.Load() || time.Since(start) < ttl || len(completes) != 0 {
+			t.Fatalf("canceled=%v after %v, completes=%+v; want an abort no sooner than %v, no complete",
+				canceled.Load(), time.Since(start), completes, ttl)
+		}
+	})
+	t.Run("recovers", func(t *testing.T) {
+		// Beats alternate failure and success, so only a stall of a whole
+		// TTL between two of them could abort the run.
+		const ttl = 900 * time.Millisecond
+		h, tr := fakeHolder("PLPro", ttl, func(cfg campaign.Config) (*campaign.Result, error) {
+			select {
+			case <-cfg.Cancel:
+				return nil, campaign.ErrCanceled
+			case <-time.After(3 * ttl / 2):
+				return &campaign.Result{}, nil
+			}
+		})
+		tr.onBeat = func(n int, _ string) error {
+			if n%2 == 1 {
+				return down
+			}
+			return nil
+		}
+		runOne(t, context.Background(), h)
+		if _, _, completes := tr.seen(); len(completes) != 1 || completes[0].Summary == nil {
+			t.Fatalf("completes = %+v, want one success: every other beat got through", completes)
+		}
+	})
+}
+
+// TestHolderPanicFailsOnce: a panicking campaign is one failed
+// complete, not a crashed holder.
+func TestHolderPanicFailsOnce(t *testing.T) {
+	h, tr := fakeHolder("PLPro", 30*time.Second, func(campaign.Config) (*campaign.Result, error) {
+		panic("kernel blew up")
+	})
+	runOne(t, context.Background(), h)
+	if _, _, c := tr.seen(); len(c) != 1 || c[0].Summary != nil || !strings.Contains(c[0].Error, "panicked") {
+		t.Fatalf("completes = %+v, want one failure naming the panic", c)
+	}
+}
+
+// TestHolderUnknownTargetFails: a grant for a target the holder does
+// not serve fails at once, and the science never starts.
+func TestHolderUnknownTargetFails(t *testing.T) {
+	var ran atomic.Bool
+	h, tr := fakeHolder("Mpro-from-the-future", 30*time.Second, func(campaign.Config) (*campaign.Result, error) {
+		ran.Store(true)
+		return &campaign.Result{}, nil
+	})
+	runOne(t, context.Background(), h)
+	beats, _, c := tr.seen()
+	if ran.Load() || len(beats) != 0 || len(c) != 1 || !strings.Contains(c[0].Error, "unknown target") {
+		t.Fatalf("ran=%v beats=%v completes=%+v; want one unknown-target failure and no run", ran.Load(), beats, c)
+	}
+}
+
+// TestHolderContextCancelAbandons: a canceled context (a drain, a
+// worker shutting down) aborts the run and completes nothing.
+func TestHolderContextCancelAbandons(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var canceled atomic.Bool
+	h, tr := fakeHolder("PLPro", 30*time.Second, func(cfg campaign.Config) (*campaign.Result, error) {
+		cancel()
+		return untilCanceled(&canceled)(cfg)
+	})
+	runOne(t, ctx, h)
+	if _, _, c := tr.seen(); !canceled.Load() || len(c) != 0 {
+		t.Fatalf("canceled=%v completes=%+v; want an abort and no complete", canceled.Load(), c)
+	}
+}
+
+// TestHolderStageChangeBeatsBeforeTick: a stage change is heartbeat at
+// once — with a 30s TTL the next tick is 10s away — and the campaign
+// never waits on the beat: stage reports made while a heartbeat hangs
+// return at once and coalesce into the next beat, progress monotonic.
+func TestHolderStageChangeBeatsBeforeTick(t *testing.T) {
+	release := make(chan struct{})
+	var h *Holder
+	var tr *fakeTransport
+	waitBeat := func(stage string) {
+		waitFor(t, "a heartbeat for stage "+stage, func() bool {
+			beats, _, _ := tr.seen()
+			return slices.Contains(beats, stage)
+		})
+	}
+	h, tr = fakeHolder("PLPro", 30*time.Second, func(cfg campaign.Config) (*campaign.Result, error) {
+		cfg.Progress("s1-train", 0.02)
+		waitBeat("s1-train") // that beat now hangs until release
+		cfg.Progress("ml1-train", 0.5)
+		cfg.Progress("ml1-screen", 0.3)
+		close(release)
+		waitBeat("ml1-screen")
+		return &campaign.Result{}, nil
+	})
+	tr.onBeat = func(n int, _ string) error {
+		if n == 1 {
+			<-release
+		}
+		return nil
+	}
+	runOne(t, context.Background(), h)
+	beats, fracs, c := tr.seen()
+	if len(c) != 1 || c[0].Summary == nil {
+		t.Fatalf("completes = %+v, want one success", c)
+	}
+	if want := []string{"s1-train", "ml1-screen"}; !slices.Equal(beats, want) || fracs[1] != 0.5 {
+		t.Fatalf("beats = %v at %v, want %v with progress held at 0.5", beats, fracs, want)
+	}
+}
+
+// TestHolderBeatIntervalClamped: the tick is TTL/3 within [20ms, 10s].
+func TestHolderBeatIntervalClamped(t *testing.T) {
+	for _, c := range []struct{ ttl, want time.Duration }{
+		{time.Millisecond, 20 * time.Millisecond},
+		{60 * time.Millisecond, 20 * time.Millisecond},
+		{3 * time.Second, time.Second},
+		{30 * time.Second, 10 * time.Second},
+		{5 * time.Minute, 10 * time.Second},
+	} {
+		if got := beatInterval(c.ttl); got != c.want {
+			t.Errorf("beatInterval(%v) = %v, want %v", c.ttl, got, c.want)
+		}
+	}
 }

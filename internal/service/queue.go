@@ -271,7 +271,7 @@ type scheduler struct {
 
 	wake chan struct{} // pokes idle in-process holders; buffered
 	quit chan struct{}
-	wg   sync.WaitGroup // the lease watchdog plus the service's in-process holders
+	wg   sync.WaitGroup // the lease watchdog plus the service's in-process holders and their drain watcher
 }
 
 // newScheduler starts the lease-expiry watchdog.

@@ -314,9 +314,13 @@ func Open(opts Options) (*Service, error) {
 		s.sched.restore(replayed, maxID)
 		s.sched.pruneTerminal()
 	}
+	// The in-process holders' runs abort when the drain begins.
+	holdCtx, stopHolders := context.WithCancel(context.Background())
+	s.sched.wg.Add(1)
+	go func() { defer s.sched.wg.Done(); <-s.sched.quit; stopHolders() }()
 	for i := 0; i < workers; i++ {
 		s.sched.wg.Add(1)
-		go s.holdLeases(fmt.Sprint(localWorkerPrefix, i))
+		go s.holdLocal(holdCtx, fmt.Sprint(localWorkerPrefix, i))
 	}
 	if s.stateDir != "" {
 		every := opts.SnapshotEvery
@@ -495,108 +499,6 @@ func BaseConfig(req SubmitRequest, t *receptor.Target) campaign.Config {
 // queued — its holder died with the process that wrote it.
 const localWorkerPrefix = "local/"
 
-// holdLeases is one in-process lease holder: it pulls jobs through
-// Lease and runs them until shutdown, like a remote worker whose
-// transport is a function call instead of HTTP.
-func (s *Service) holdLeases(id string) {
-	defer s.sched.wg.Done()
-	for {
-		// A failed grant (journal closing under a drain) leaves the job
-		// queued; like an empty queue, wait for the next poke.
-		if grant, _ := s.Lease(id, 0); grant != nil {
-			s.runLease(id, grant)
-			continue
-		}
-		select {
-		case <-s.sched.wake:
-		case <-s.sched.quit:
-			return
-		}
-	}
-}
-
-// runLease executes one leased campaign against the service's own
-// caches and completes it. Heartbeats ride on the campaign's progress
-// callback plus a TTL/3 ticker; one that fails (lease expired or
-// preempted, job canceled) aborts the run, as does a drain, and the
-// job's next holder reruns it byte-identically. A panicking campaign
-// fails its job, never the server.
-func (s *Service) runLease(id string, g *LeaseGrant) {
-	t, ok := s.targets[g.Req.Target]
-	if !ok {
-		// Only a replayed job can name a target this process no longer
-		// serves; fail it loudly rather than bounce it between leases.
-		_ = s.Complete(id, g.Token, g.JobID, WorkerResult{Error: fmt.Sprintf("service: unknown target %q", g.Req.Target)})
-		return
-	}
-	cfg := BaseConfig(g.Req, t)
-	cfg.Workers = s.workers
-	cfg.DockCache = s.scores.ForTarget(t.Name)
-	cfg.Features = s.features
-
-	cancel := make(chan struct{})
-	var once sync.Once
-	abort := func() { once.Do(func() { close(cancel) }) }
-	cfg.Cancel = cancel
-	beat := func(stage string, progress float64) {
-		if _, err := s.Heartbeat(id, g.Token, g.JobID, stage, progress); err != nil {
-			abort()
-		}
-	}
-	var mu sync.Mutex // the campaign may report from several goroutines
-	stage, progress := "", 0.0
-	cfg.Progress = func(st string, frac float64) {
-		mu.Lock()
-		// Heartbeat only meaningful movement — a stage change or ≥1% of
-		// progress — so a chatty campaign cannot churn the job's bounded
-		// event ring out of its replay window.
-		notable := st != stage || frac >= progress+0.01 || (frac >= 1 && progress < 1)
-		if notable {
-			stage, progress = st, frac
-		}
-		mu.Unlock()
-		if notable {
-			beat(st, frac)
-		}
-	}
-
-	var res *campaign.Result
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("service: campaign panicked: %v", r)
-			}
-		}()
-		res, err = campaign.RunWithPool(cfg, nil, g.Req.LibOffset)
-	}()
-	tick := time.NewTicker(max(time.Duration(g.TTLSeconds*float64(time.Second))/3, 10*time.Millisecond))
-	defer tick.Stop()
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		case <-tick.C:
-			beat("", 0) // extends the lease; the job keeps its stage/progress
-		case <-s.sched.quit:
-			abort()
-			<-done
-			return
-		}
-	}
-	var out WorkerResult
-	if err != nil {
-		out.Error = err.Error()
-	} else {
-		out.Summary = &ResultSummary{Funnel: res.Funnel, Top: res.Top, ScientificYield: res.ScientificYield}
-	}
-	// A run aborted over a lost lease bounces off ErrLeaseLost here, like
-	// a remote worker's late complete: the queue owns the job again.
-	_ = s.complete(id, g.Token, g.JobID, out, res)
-}
-
 // retainFull notes that the job now holds a full campaign result and
 // releases the oldest ones beyond the retention bound. Summaries (what
 // the HTTP API serves) are kept for every job; only the heavyweight
@@ -742,13 +644,8 @@ func (s *Service) complete(workerID, token, jobID string, res WorkerResult, full
 	// cannot inflate the counters.
 	s.met.addWorkerCacheStats(res.Stats)
 	if state == StateDone {
-		timings, wall := []campaign.StageTiming(nil), 0.0
-		if res.Stats != nil && len(res.Stats.Timings) > 0 {
-			timings, wall = res.Stats.Timings, res.Stats.WallSeconds
-		} else if res.Summary != nil {
-			timings, wall = res.Summary.Funnel.Timings, res.Summary.Funnel.WallSeconds
-		}
-		s.met.observeFunnel(tenant, timings, wall)
+		// Both holders' summaries carry the funnel's own stage windows.
+		s.met.observeFunnel(tenant, res.Summary.Funnel.Timings, res.Summary.Funnel.WallSeconds)
 	}
 	// Wake the checkpoint writer, after the merge so this job's labels
 	// are in what it writes: a remote run's delta, or what an in-process

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +58,37 @@ func kindsOf(events []journaled, job string) string {
 		}
 	}
 	return strings.Join(kinds, ",")
+}
+
+// stagedBeforeEnd reads a finished job's retained event replay over
+// SSE and reports whether a progress event carrying a stage comes
+// before the terminal event.
+func stagedBeforeEnd(t *testing.T, url, id string) bool {
+	t.Helper()
+	resp, err := http.Get(url + "/api/v1/campaigns/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev service.JobEvent
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case ev.Terminal():
+			return false
+		case ev.Type == "progress" && ev.Stage != "":
+			return true
+		}
+	}
+	return false
 }
 
 // runWorker starts a worker polling the coordinator; the returned stop
@@ -120,6 +153,18 @@ func TestOnePathLocalAndRemoteAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Both sides publish progress under the one heartbeat policy: the
+	// first stage change is beat at once, not at the TTL/3 tick a small
+	// campaign ends before.
+	localSrv := httptest.NewServer(local.Handler())
+	defer localSrv.Close()
+	for _, side := range []struct{ name, url, id string }{
+		{"in-process", localSrv.URL, localID}, {"remote", srv.URL, remoteID},
+	} {
+		if !stagedBeforeEnd(t, side.url, side.id) {
+			t.Fatalf("%s job's event replay has no staged progress event before its terminal event", side.name)
+		}
+	}
 	if got := kindsOf(readJournaled(t, localDir), localID); got != lifecycle {
 		t.Fatalf("in-process journal = %s, want %s", got, lifecycle)
 	}

@@ -1,12 +1,17 @@
 // Package worker is the remote-execution side of the campaign
 // service's lease protocol: a pull-based worker that leases jobs from
-// a coordinator over HTTP, runs each campaign locally against
-// per-worker score/feature caches, heartbeats while it runs, and posts
-// back the result summary plus the docking results the run computed
-// fresh. The coordinator merges that delta into its sharded score
-// cache, so labels computed on any worker warm the whole cluster's
-// future submissions; feature vectors stay in the worker's own cache
-// (recomputing one from its ID is cheaper than shipping it).
+// a coordinator over HTTP and posts back the result summary plus the
+// docking results the run computed fresh. The coordinator merges that
+// delta into its sharded score cache, so labels computed on any worker
+// warm the whole cluster's future submissions; feature vectors stay in
+// the worker's own cache (recomputing one from its ID is cheaper than
+// shipping it).
+//
+// A Worker is a transport, not a second job runner: each leased job
+// runs through service.Holder — the same code the coordinator's
+// in-process holders use, heartbeat policy included — with the Worker
+// answering its Lease, Heartbeat and Complete calls over HTTP and
+// supplying the per-worker caches that persist across jobs.
 //
 // The shape follows the paper's pilot-job middleware (EnTK/RADICAL
 // pilots pull tasks onto allocated nodes rather than having tasks
@@ -21,7 +26,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -77,9 +81,8 @@ type Options struct {
 // windows on the same worker dock for free — the same economics the
 // coordinator's shared caches give in-process workers.
 type Worker struct {
-	opts    Options
-	client  *http.Client
-	targets map[string]*receptor.Target
+	opts   Options
+	client *http.Client
 	// completeClient carries the complete upload: up to maxScoreDelta
 	// docking results, which a slow link cannot move inside the protocol
 	// client's short timeout (sized for lease/heartbeat round-trips).
@@ -87,6 +90,7 @@ type Worker struct {
 	scores         *service.ScoreCache
 	features       *service.FeatureCache
 	logf           func(string, ...any)
+	holder         *service.Holder // runs each leased job, with this Worker as its transport
 
 	completed atomic.Int64 // jobs finalized (done, failed or canceled)
 }
@@ -107,14 +111,16 @@ func New(opts Options) *Worker {
 	if shards <= 0 {
 		shards = 16
 	}
-	targets := opts.Targets
-	if targets == nil {
-		targets = receptor.StandardTargets()
+	if opts.Targets == nil {
+		opts.Targets = receptor.StandardTargets()
+	}
+	targets := make(map[string]*receptor.Target, len(opts.Targets))
+	for _, t := range opts.Targets {
+		targets[t.Name] = t
 	}
 	w := &Worker{
 		opts:     opts,
 		client:   opts.HTTPClient,
-		targets:  make(map[string]*receptor.Target, len(targets)),
 		scores:   service.NewScoreCache(shards, opts.MaxCacheEntries),
 		features: service.NewFeatureCache(shards, opts.MaxCacheEntries),
 		logf:     opts.Logf,
@@ -129,8 +135,14 @@ func New(opts Options) *Worker {
 	if w.logf == nil {
 		w.logf = log.Printf
 	}
-	for _, t := range targets {
-		w.targets[t.Name] = t
+	w.holder = &service.Holder{
+		Transport:       w,
+		Name:            "worker " + opts.ID,
+		Targets:         targets,
+		CampaignWorkers: opts.CampaignWorkers,
+		Features:        w.features,
+		Scores:          w.scoresFor,
+		Logf:            w.logf,
 	}
 	return w
 }
@@ -174,164 +186,81 @@ func (w *Worker) Run(ctx context.Context) error {
 // RunOne leases at most one job and executes it to completion,
 // reporting whether a job was leased. Exposed for tests and embedders
 // that want to control the polling loop themselves.
-func (w *Worker) RunOne(ctx context.Context) (bool, error) {
+func (w *Worker) RunOne(ctx context.Context) (bool, error) { return w.holder.RunOne(ctx) }
+
+// Lease asks the coordinator for one job; a nil grant means it has none.
+func (w *Worker) Lease(ctx context.Context) (*service.LeaseGrant, error) {
 	var grant service.LeaseGrant
 	code, err := w.post(ctx, "/api/v1/worker/lease",
 		service.LeaseRequest{WorkerID: w.opts.ID, TTLSeconds: w.opts.TTL.Seconds()}, &grant)
 	if err != nil {
-		return false, fmt.Errorf("lease: %w", err)
+		return nil, fmt.Errorf("lease: %w", err)
 	}
 	switch code {
 	case http.StatusOK:
 	case http.StatusNoContent:
-		return false, nil
+		return nil, nil
 	default:
-		return false, fmt.Errorf("lease: coordinator answered %d", code)
+		return nil, fmt.Errorf("lease: coordinator answered %d", code)
 	}
 	w.logf("worker %s: leased %s (target %s, expires %s)",
 		w.opts.ID, grant.JobID, grant.Req.Target, grant.ExpiresAt.Format(time.RFC3339))
-	return true, w.execute(ctx, &grant)
+	return &grant, nil
 }
 
-// execute runs one leased campaign with heartbeats and posts the
-// outcome. A run whose lease is lost (expiry, cancel, coordinator
-// restart that re-assigned it) is abandoned without posting — the
-// coordinator owns the job again and the rerun is deterministic.
-func (w *Worker) execute(ctx context.Context, g *service.LeaseGrant) error {
-	t, ok := w.targets[g.Req.Target]
-	if !ok {
-		// Fail the job loudly rather than abandoning the lease: a pool
-		// where no worker serves the target would otherwise bounce the
-		// job between lease expiries forever, invisibly. Deploy workers
-		// with Options.Targets matching the coordinator's.
-		return w.postComplete(ctx, g, service.WorkerResult{
-			Error: fmt.Sprintf("worker %s: unknown target %q", w.opts.ID, g.Req.Target),
-		})
-	}
-	cfg := service.BaseConfig(g.Req, t)
-	cfg.Workers = w.opts.CampaignWorkers
-	scores := &recordingScores{inner: w.scores.ForTarget(t.Name), target: t.Name}
-	cfg.DockCache = scores
-	cfg.Features = w.features
-
-	cancel := make(chan struct{})
-	var abandoned atomic.Bool
-	var once sync.Once
-	abort := func() { abandoned.Store(true); once.Do(func() { close(cancel) }) }
-	cfg.Cancel = cancel
-	var prog progressState
-	cfg.Progress = prog.set
-
-	// Snapshot the persistent caches before the run: the difference
-	// afterwards is this job's contribution, reported with the
-	// completion so the coordinator's /metrics shows fleet-wide cache
-	// effectiveness (impeccable_worker_cache_*_total).
-	scoresBefore, featuresBefore := w.scores.Stats(), w.features.Stats()
-	runStart := time.Now()
-
-	runDone := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		w.heartbeatLoop(ctx, g, &prog, runDone, abort)
-	}()
-
-	res, err := func() (res *campaign.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("worker: campaign panicked: %v", r)
-			}
-		}()
-		return campaign.RunWithPool(cfg, nil, g.Req.LibOffset)
-	}()
-	close(runDone)
-	<-hbDone
-
-	if abandoned.Load() || ctx.Err() != nil {
-		w.logf("worker %s: abandoned %s (lease lost or shutting down)", w.opts.ID, g.JobID)
-		return nil
-	}
-	out := service.WorkerResult{Scores: scores.take()}
-	if n := scores.droppedN(); n > 0 {
-		w.logf("worker %s: %s delta capped (%d score entries not shipped; coordinator cache stays colder)",
-			w.opts.ID, g.JobID, n)
-	}
-	out.Stats = &service.WorkerRunStats{
-		ScoreCache:   statsDelta(scoresBefore, w.scores.Stats()),
-		FeatureCache: statsDelta(featuresBefore, w.features.Stats()),
-		WallSeconds:  time.Since(runStart).Seconds(),
-	}
+// Heartbeat extends the lease and reports the run's stage and
+// progress; a 409 or 404 means the lease is lost.
+func (w *Worker) Heartbeat(ctx context.Context, g *service.LeaseGrant, stage string, progress float64) error {
+	code, err := w.post(ctx, "/api/v1/worker/heartbeat", service.HeartbeatRequest{
+		WorkerID: w.opts.ID, Token: g.Token, JobID: g.JobID, Stage: stage, Progress: progress,
+	}, nil)
 	switch {
-	case errors.Is(err, campaign.ErrCanceled):
-		out.Canceled = true
 	case err != nil:
-		out.Error = err.Error()
-	default:
-		out.Summary = &service.ResultSummary{
-			Funnel:          res.Funnel,
-			Top:             res.Top,
-			ScientificYield: res.ScientificYield,
-		}
-		out.Stats.Timings = res.Funnel.Timings
-		out.Stats.WallSeconds = res.Funnel.WallSeconds
+		return err
+	case code == http.StatusConflict || code == http.StatusNotFound:
+		return fmt.Errorf("%w (coordinator answered %d)", service.ErrLeaseLost, code)
+	case code != http.StatusOK:
+		return fmt.Errorf("heartbeat: coordinator answered %d", code)
 	}
-	return w.postComplete(ctx, g, out)
+	return nil
 }
 
-// heartbeatLoop extends the lease at TTL/3 cadence, reporting the
-// remotely observed stage/progress, until the run finishes. It aborts
-// the run when the coordinator says the lease is lost, or when
-// heartbeats have failed for longer than the TTL (the lease has
-// certainly expired by then, so the job is no longer this worker's).
-func (w *Worker) heartbeatLoop(ctx context.Context, g *service.LeaseGrant, prog *progressState, runDone <-chan struct{}, abort func()) {
-	ttl := time.Duration(g.TTLSeconds * float64(time.Second))
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	interval := ttl / 3
-	if interval < 20*time.Millisecond {
-		interval = 20 * time.Millisecond
-	}
-	if interval > 10*time.Second {
-		interval = 10 * time.Second
-	}
-	deadline := time.Now().Add(ttl)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-runDone:
-			return
-		case <-ctx.Done():
-			abort()
-			return
-		case <-tick.C:
-			stage, frac := prog.get()
-			code, err := w.post(ctx, "/api/v1/worker/heartbeat", service.HeartbeatRequest{
-				WorkerID: w.opts.ID, Token: g.Token, JobID: g.JobID, Stage: stage, Progress: frac,
-			}, nil)
-			switch {
-			case err == nil && code == http.StatusOK:
-				deadline = time.Now().Add(ttl)
-			case code == http.StatusConflict || code == http.StatusNotFound:
-				w.logf("worker %s: lease on %s lost (%d), aborting run", w.opts.ID, g.JobID, code)
-				abort()
-				return
-			default:
-				if time.Now().After(deadline) {
-					w.logf("worker %s: no heartbeat through a full TTL on %s, aborting run", w.opts.ID, g.JobID)
-					abort()
-					return
-				}
-			}
+// scoresFor opens one job's view of the persistent score cache. The
+// view records every fresh docking result, and finish ships that delta
+// with the completion — the coordinator merges it into its sharded
+// cache — together with the run's own cache traffic and timings, so the
+// coordinator's /metrics shows fleet-wide cache effectiveness
+// (impeccable_worker_cache_*_total).
+func (w *Worker) scoresFor(g *service.LeaseGrant) (dock.ScoreCache, func(*service.WorkerResult)) {
+	rec := &recordingScores{inner: w.scores.ForTarget(g.Req.Target), target: g.Req.Target}
+	scoresBefore, featuresBefore := w.scores.Stats(), w.features.Stats()
+	start := time.Now()
+	return rec, func(out *service.WorkerResult) {
+		rec.mu.Lock()
+		delta, dropped := rec.delta, rec.dropped
+		rec.mu.Unlock()
+		out.Scores = delta
+		if dropped > 0 {
+			w.logf("worker %s: %s delta capped (%d score entries not shipped; coordinator cache stays colder)",
+				w.opts.ID, g.JobID, dropped)
+		}
+		out.Stats = &service.WorkerRunStats{
+			ScoreCache:   statsDelta(scoresBefore, w.scores.Stats()),
+			FeatureCache: statsDelta(featuresBefore, w.features.Stats()),
+			WallSeconds:  time.Since(start).Seconds(),
+		}
+		if out.Summary != nil {
+			out.Stats.Timings = out.Summary.Funnel.Timings
+			out.Stats.WallSeconds = out.Summary.Funnel.WallSeconds
 		}
 	}
 }
 
-// postComplete posts the outcome, retrying briefly over network blips.
-// A 409 means the lease was lost and the result must be discarded (the
-// rerun owns the job); that is not an error.
-func (w *Worker) postComplete(ctx context.Context, g *service.LeaseGrant, res service.WorkerResult) error {
+// Complete posts the outcome, retrying briefly over network blips. A
+// 409 means the lease was lost and the result must be discarded (the
+// rerun owns the job); that is not an error. The full in-memory result
+// stays on the worker: the coordinator serves summaries only.
+func (w *Worker) Complete(ctx context.Context, g *service.LeaseGrant, res service.WorkerResult, _ *campaign.Result) error {
 	req := service.CompleteRequest{WorkerID: w.opts.ID, Token: g.Token, JobID: g.JobID, WorkerResult: res}
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -415,29 +344,6 @@ func statsDelta(before, after service.CacheStats) service.CacheStats {
 	return d
 }
 
-// progressState is the campaign's latest stage/progress, written by
-// (possibly concurrent) Progress callbacks and read by heartbeats.
-type progressState struct {
-	mu    sync.Mutex
-	stage string
-	frac  float64
-}
-
-func (p *progressState) set(stage string, frac float64) {
-	p.mu.Lock()
-	p.stage = stage
-	if frac > p.frac {
-		p.frac = frac
-	}
-	p.mu.Unlock()
-}
-
-func (p *progressState) get() (string, float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stage, p.frac
-}
-
 // maxScoreDelta bounds the score-cache delta shipped per job. Score
 // entries are expensive to recompute (each is a docking run), but the
 // delta only warms the coordinator's shared cache — the worker keeps
@@ -472,18 +378,4 @@ func (r *recordingScores) Put(m *chem.Molecule, res dock.Result) {
 		r.dropped++
 	}
 	r.mu.Unlock()
-}
-
-func (r *recordingScores) take() []service.ScoreEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := r.delta
-	r.delta = nil
-	return d
-}
-
-func (r *recordingScores) droppedN() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
