@@ -3,7 +3,7 @@
 // lease-holding workers and share a sharded docking-score cache, so
 // overlapping submissions dedupe their most expensive evaluations.
 // With -state-dir the service is crash-safe: job lifecycle events are
-// journaled ahead of acknowledgment and the caches are checkpointed,
+// journaled ahead of acknowledgment and the cache is checkpointed,
 // so a restarted server serves all prior terminal results and reruns
 // interrupted jobs deterministically under their original IDs.
 //

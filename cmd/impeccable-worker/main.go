@@ -1,8 +1,8 @@
 // Command impeccable-worker is a remote campaign executor: it pulls
 // jobs from an impeccable-server coordinator over the lease API, runs
-// each campaign locally against per-worker caches, heartbeats while it
-// runs, and posts back the result summary plus the score/feature-cache
-// deltas. Point any number of workers (across any number of machines)
+// each campaign locally against a per-worker score cache, heartbeats
+// while it runs, and posts back the result summary plus the score-cache
+// delta. Point any number of workers (across any number of machines)
 // at one coordinator started with -workers=0 and the single binary
 // becomes a coordinator + N workers cluster.
 //
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"impeccable/internal/obs"
-	"impeccable/internal/service"
 	"impeccable/internal/service/worker"
 )
 
@@ -87,7 +86,7 @@ func main() {
 }
 
 // metricsHandler exposes the worker's own counters — jobs completed
-// and the persistent per-worker caches — in the Prometheus text
+// and the persistent per-worker score cache — in the Prometheus text
 // format. The series are mirrored from Worker's stats at scrape time
 // (obs.Counter.Set ignores regressions, so the mirrors stay monotone).
 func metricsHandler(w *worker.Worker) http.Handler {
@@ -101,19 +100,14 @@ func metricsHandler(w *worker.Worker) http.Handler {
 	evictions := reg.CounterVec("impeccable_worker_local_cache_evictions_total",
 		"Persistent per-worker cache evictions, by cache.", "cache")
 	entries := reg.GaugeVec("impeccable_worker_local_cache_entries",
-		"Entries currently in the per-worker caches, by cache.", "cache")
+		"Entries currently in the per-worker cache, by cache.", "cache")
 	reg.OnCollect(func() {
 		completed.Set(float64(w.Completed()))
-		for _, c := range []struct {
-			name string
-			st   func() service.CacheStats
-		}{{"score", w.ScoreCacheStats}, {"feature", w.FeatureCacheStats}} {
-			st := c.st()
-			hits.With(c.name).Set(float64(st.Hits))
-			misses.With(c.name).Set(float64(st.Misses))
-			evictions.With(c.name).Set(float64(st.Evictions))
-			entries.With(c.name).Set(float64(st.Entries))
-		}
+		st := w.ScoreCacheStats()
+		hits.With("score").Set(float64(st.Hits))
+		misses.With("score").Set(float64(st.Misses))
+		evictions.With("score").Set(float64(st.Evictions))
+		entries.With("score").Set(float64(st.Entries))
 	})
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -69,14 +69,11 @@ func main() {
 	}
 
 	var cache struct {
-		Scores   impeccable.CacheStats `json:"scores"`
-		Features impeccable.CacheStats `json:"features"`
+		Scores impeccable.CacheStats `json:"scores"`
 	}
 	getJSON(srv.URL+"/api/v1/cache", &cache)
-	fmt.Printf("\nscore cache:   %d entries, hit rate %.0f%%\n",
+	fmt.Printf("\nscore cache: %d entries, hit rate %.0f%%\n",
 		cache.Scores.Entries, 100*cache.Scores.HitRate)
-	fmt.Printf("feature cache: %d entries, hit rate %.0f%%\n",
-		cache.Features.Entries, 100*cache.Features.HitRate)
 
 	// Act two: the "server" goes away and comes back on the same state
 	// dir. Nothing reruns — the journal already has both results — and a

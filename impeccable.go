@@ -136,13 +136,10 @@ type (
 	JobState = service.JobState
 	// ResultSummary is the JSON-friendly projection of a campaign result.
 	ResultSummary = service.ResultSummary
-	// CacheStats snapshots the shared caches' effectiveness.
+	// CacheStats snapshots the shared score cache's effectiveness.
 	CacheStats = service.CacheStats
 	// ScoreEntry is one exported score-cache record (cache checkpoints).
 	ScoreEntry = service.ScoreEntry
-	// FeatureEntry is one feature-cache record as older workers shipped
-	// it; accepted in a WorkerResult and ignored.
-	FeatureEntry = service.FeatureEntry
 	// JobQuery bounds and filters a job listing (state/cursor/limit).
 	JobQuery = service.JobQuery
 	// LeaseGrant is a remote worker's claim on one job (lease API).
@@ -207,7 +204,7 @@ func OpenService(opts ServiceOptions) (*Service, error) { return service.Open(op
 // can run workers in-process the same way).
 type (
 	// Worker pulls leased jobs from a coordinator and executes them
-	// against per-worker caches.
+	// against a per-worker score cache.
 	Worker = worker.Worker
 	// WorkerOptions configures NewWorker.
 	WorkerOptions = worker.Options

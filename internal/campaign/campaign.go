@@ -60,10 +60,6 @@ type Config struct {
 	// cache here).
 	DockCache dock.ScoreCache
 
-	// Features, when non-nil, supplies memoized feature vectors for the
-	// ML1 library screen instead of materializing each molecule.
-	Features surrogate.FeatureSource
-
 	// Cancel, when non-nil, aborts the campaign between stages (and
 	// between ligands inside the docking batches) once closed; Run then
 	// returns ErrCanceled.
@@ -355,7 +351,7 @@ func fitSurrogate(cfg *Config, res *Result, trainMols []*chem.Molecule, trainSco
 // screen scores the library window with ML1 and returns the S1
 // selection: the predicted top fraction plus the deterministic resample.
 func screen(cfg *Config, res *Result, model *surrogate.Model, ids []uint64, workers int, libOffset uint64) []*chem.Molecule {
-	preds := model.PredictIDsFrom(ids, workers, cfg.Features)
+	preds := model.PredictIDs(ids, workers)
 	res.Funnel.Screened = len(ids)
 	res.Counter.Add("ML1", model.InferenceFlops(len(ids)), 0, int64(len(ids)))
 	dockIdx := selectDockIdx(cfg, preds, libOffset)

@@ -43,12 +43,10 @@ func BenchmarkOverlappingCampaigns(b *testing.B) {
 	})
 	b.Run("shared-cache", func(b *testing.B) {
 		scores := NewScoreCache(64, 0)
-		features := NewFeatureCache(64, 0)
 		// Warm once outside the timer: the steady state of a long-lived
 		// service is every iteration after the first.
 		warm := benchConfig(t)
 		warm.DockCache = scores.ForTarget(t.Name)
-		warm.Features = features
 		if _, err := campaign.Run(warm); err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +54,6 @@ func BenchmarkOverlappingCampaigns(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := benchConfig(t)
 			cfg.DockCache = scores.ForTarget(t.Name)
-			cfg.Features = features
 			res, err := campaign.Run(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -195,79 +195,6 @@ func TestScoreCacheImportRespectsCapacity(t *testing.T) {
 	}
 }
 
-func TestFeatureCacheConcurrent(t *testing.T) {
-	c := NewFeatureCache(8, 0)
-	want := chem.FromID(5).FeatureVector()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := uint64(0); id < 100; id++ {
-				v := c.Features(id)
-				if len(v) != chem.FeatureDim {
-					t.Errorf("feature dim = %d, want %d", len(v), chem.FeatureDim)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	got := c.Features(5)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cached features diverge from materialized at %d", i)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 100 {
-		t.Fatalf("entries = %d, want 100", st.Entries)
-	}
-	if st.Hits == 0 {
-		t.Fatal("expected hits from overlapping goroutines")
-	}
-}
-
-// TestFeatureCacheFeaturesInto: the batched in-place path must serve the
-// same vectors as Features with identical counter semantics (one hit or
-// one miss per call, every miss stored, Puts == Misses).
-func TestFeatureCacheFeaturesInto(t *testing.T) {
-	c := NewFeatureCache(4, 0)
-	dst := make([]float64, chem.FeatureDim)
-	for i := range dst { // dirty buffer: FeaturesInto must overwrite fully
-		dst[i] = -99
-	}
-	c.FeaturesInto(dst, 11) // miss: computes and stores
-	want := chem.FromID(11).FeatureVector()
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("miss path diverges at %d: %v vs %v", i, dst[i], want[i])
-		}
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 0 || st.Puts != st.Misses {
-		t.Fatalf("after miss: %+v", st)
-	}
-	for i := range dst {
-		dst[i] = -99
-	}
-	c.FeaturesInto(dst, 11) // hit: copies the cached vector
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("hit path diverges at %d", i)
-		}
-	}
-	st = c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("after hit: %+v", st)
-	}
-	// The cached copy must not alias the caller's buffer.
-	dst[0] = 123
-	if v, _ := c.lookup(11); v[0] == 123 {
-		t.Fatal("cache retained a reference to the caller's buffer")
-	}
-}
-
 // TestScoreCacheDirtyConcurrent drains the dirty set while several
 // goroutines store: every stored entry must come out of exactly the
 // drains plus the final one — none lost to the race between a store's

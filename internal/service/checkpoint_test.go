@@ -339,9 +339,6 @@ func TestOlderSnapshotFormatsRollForward(t *testing.T) {
 			if n := s1.scores.Len(); n != 12 {
 				t.Fatalf("opened with %d score entries, want 12", n)
 			}
-			if n := s1.FeatureCacheStats().Entries; n != 0 {
-				t.Fatalf("opened with %d feature entries, want none restored", n)
-			}
 			if err := s1.Snapshot(); err != nil {
 				t.Fatal(err)
 			}

@@ -129,55 +129,6 @@ func FuzzScoreCache(f *testing.F) {
 	})
 }
 
-// FuzzFeatureCache checks the feature cache under arbitrary concurrent
-// ID sequences: every returned vector must equal the canonical
-// featurization, and the entry count must respect the capacity bound.
-func FuzzFeatureCache(f *testing.F) {
-	f.Add([]byte{}, uint8(4), uint8(0))
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 1, 2, 3}, uint8(8), uint8(4))
-	f.Add([]byte("feature-roundtrip"), uint8(1), uint8(64))
-	f.Fuzz(func(t *testing.T, data []byte, shardByte, capByte uint8) {
-		shards := int(shardByte)%32 + 1
-		maxEntries := int(capByte)
-		c := NewFeatureCache(shards, maxEntries)
-		ids := decodeIDs(data)
-
-		run := func(ids []uint64) {
-			for _, id := range ids {
-				got := c.Features(id)
-				want := chem.FromID(id).FeatureVector()
-				if len(got) != len(want) {
-					t.Errorf("Features(%d): %d dims, want %d", id, len(got), len(want))
-					return
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Errorf("Features(%d)[%d] = %v, want %v", id, j, got[j], want[j])
-						return
-					}
-				}
-			}
-		}
-		var wg sync.WaitGroup
-		half := len(ids) / 2
-		for _, part := range [][]uint64{ids[:half], ids[half:]} {
-			wg.Add(1)
-			go func(p []uint64) {
-				defer wg.Done()
-				run(p)
-			}(part)
-		}
-		wg.Wait()
-
-		st := c.Stats()
-		if maxEntries > 0 {
-			if bound := scoreCacheBound(shards, maxEntries); st.Entries > bound {
-				t.Errorf("entries %d exceed capacity bound %d", st.Entries, bound)
-			}
-		}
-	})
-}
-
 // memStore is a blob.Store over a map, so a fuzz execution costs no
 // fsync. Only Put and Get are ever called on it.
 type memStore map[string][]byte

@@ -33,7 +33,6 @@ type Holder struct {
 	Name            string // labels log lines and failure messages
 	Targets         map[string]*receptor.Target
 	CampaignWorkers int // the campaign's worker pool width; 0 = GOMAXPROCS
-	Features        *FeatureCache
 	// Scores opens the score cache one job docks against; finish, when
 	// non-nil, adds the run's cache contribution (a remote worker's
 	// delta and stats) to a result about to be completed.
@@ -62,7 +61,7 @@ func (h *Holder) RunOne(ctx context.Context) (bool, error) {
 			WorkerResult{Error: fmt.Sprintf("%s: unknown target %q", h.Name, g.Req.Target)}, nil)
 	}
 	cfg := BaseConfig(g.Req, t)
-	cfg.Workers, cfg.Features = h.CampaignWorkers, h.Features
+	cfg.Workers = h.CampaignWorkers
 	var finish func(*WorkerResult)
 	cfg.DockCache, finish = h.Scores(g)
 	abort, prog := make(chan struct{}), &runProgress{poke: make(chan struct{}, 1)}
@@ -193,13 +192,13 @@ func (l localTransport) Complete(_ context.Context, g *LeaseGrant, res WorkerRes
 }
 
 // holdLocal runs one in-process holder until shutdown, against the
-// service's shared caches. It idles on the scheduler's wake channel, so
-// a submit starts at once; a failed grant (journal closing under a
-// drain) leaves the job queued and idles the same way.
+// service's shared score cache. It idles on the scheduler's wake
+// channel, so a submit starts at once; a failed grant (journal closing
+// under a drain) leaves the job queued and idles the same way.
 func (s *Service) holdLocal(ctx context.Context, id string) {
 	defer s.sched.wg.Done()
 	h := &Holder{Transport: localTransport{s, id}, Name: id, Targets: s.targets,
-		CampaignWorkers: s.workers, Features: s.features,
+		CampaignWorkers: s.workers,
 		Scores: func(g *LeaseGrant) (dock.ScoreCache, func(*WorkerResult)) {
 			return s.scores.ForTarget(g.Req.Target), nil
 		},

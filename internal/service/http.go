@@ -20,7 +20,7 @@ import (
 //	GET    /api/v1/campaigns/{id}/result   completed job's summary
 //	GET    /api/v1/campaigns/{id}/events   live progress stream (SSE)
 //	GET    /api/v1/campaigns/{id}/provenance   event-hash chain + Merkle proof
-//	GET    /api/v1/cache              score + feature cache stats
+//	GET    /api/v1/cache              score cache stats
 //	GET    /healthz                   liveness + job counts (503 while draining)
 //	GET    /metrics                   Prometheus text exposition
 //
@@ -296,15 +296,11 @@ func writeSSE(w http.ResponseWriter, ev JobEvent) bool {
 
 // cacheStatsBody is the /api/v1/cache response.
 type cacheStatsBody struct {
-	Scores   CacheStats `json:"scores"`
-	Features CacheStats `json:"features"`
+	Scores CacheStats `json:"scores"`
 }
 
 func (s *Service) handleCache(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, cacheStatsBody{
-		Scores:   s.ScoreCacheStats(),
-		Features: s.FeatureCacheStats(),
-	})
+	writeJSON(w, http.StatusOK, cacheStatsBody{Scores: s.ScoreCacheStats()})
 }
 
 // healthBody is the /healthz response.

@@ -223,14 +223,9 @@ func (m *metrics) addWorkerCacheStats(st *WorkerRunStats) {
 	if st == nil {
 		return
 	}
-	for _, c := range []struct {
-		name  string
-		stats CacheStats
-	}{{"score", st.ScoreCache}, {"feature", st.FeatureCache}} {
-		m.workerCacheHits.With(c.name).Add(float64(c.stats.Hits))
-		m.workerCacheMisses.With(c.name).Add(float64(c.stats.Misses))
-		m.workerCacheEvictions.With(c.name).Add(float64(c.stats.Evictions))
-	}
+	m.workerCacheHits.With("score").Add(float64(st.ScoreCache.Hits))
+	m.workerCacheMisses.With("score").Add(float64(st.ScoreCache.Misses))
+	m.workerCacheEvictions.With("score").Add(float64(st.ScoreCache.Evictions))
 }
 
 // registerCollectors wires the scrape-time mirrors: scheduler state,
@@ -253,9 +248,7 @@ func (s *Service) registerCollectors() {
 		m.leasesActive.Set(float64(s.sched.activeLeases()))
 		m.retryAfter.Set(float64(s.sched.retryAfterSeconds()))
 		mirrorCache(m, "score", s.scores.ShardStats())
-		mirrorCache(m, "feature", s.features.ShardStats())
 		m.cachePuts.With("score").Set(float64(s.scores.Stats().Puts))
-		m.cachePuts.With("feature").Set(float64(s.features.Stats().Puts))
 		if s.jl != nil {
 			m.journalSize.Set(float64(s.jl.sizeBytes()))
 			m.journalSegments.Set(float64(s.jl.segmentCount()))

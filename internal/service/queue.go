@@ -622,7 +622,7 @@ func (s *scheduler) lease(workerID string, ttl time.Duration, now time.Time) (*j
 // newLeaseToken mints the per-lease secret a worker must present on
 // heartbeat/complete. Worker IDs are published in job listings, so
 // possession of the ID alone must not be able to complete (and thereby
-// poison the shared caches of) someone else's lease.
+// poison the shared cache of) someone else's lease.
 func newLeaseToken() (string, error) {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -27,8 +27,8 @@ type Options struct {
 	// CampaignWorkers bounds the intra-campaign worker pools (docking,
 	// screening, ESMACS); 0 means GOMAXPROCS.
 	CampaignWorkers int
-	// CacheShards is the lock-stripe width of the shared caches; 0
-	// means 64.
+	// CacheShards is the lock-stripe width of the shared score cache;
+	// 0 means 64.
 	CacheShards int
 	// MaxCacheEntries soft-bounds the score cache; 0 means unbounded.
 	MaxCacheEntries int
@@ -124,11 +124,10 @@ type Options struct {
 
 // Service is a long-lived, multi-tenant campaign evaluation service:
 // submitted campaigns queue for lease holders (in-process and remote)
-// and share a sharded docking-score cache and feature cache, so
-// overlapping submissions dedupe their most expensive evaluations.
+// and share a sharded docking-score cache, so overlapping submissions
+// dedupe their most expensive evaluations.
 type Service struct {
 	scores     *ScoreCache
-	features   *FeatureCache
 	targets    map[string]*receptor.Target
 	sched      *scheduler
 	workers    int // per-campaign worker width
@@ -236,7 +235,6 @@ func Open(opts Options) (*Service, error) {
 	}
 	s := &Service{
 		scores:     NewScoreCache(shards, opts.MaxCacheEntries),
-		features:   NewFeatureCache(shards, opts.MaxCacheEntries),
 		targets:    make(map[string]*receptor.Target, len(targets)),
 		workers:    opts.CampaignWorkers,
 		maxResults: maxResults,
@@ -579,21 +577,27 @@ type WorkerResult struct {
 	Canceled bool           `json:"canceled,omitempty"`
 	Scores   []ScoreEntry   `json:"scores,omitempty"`
 	Features []FeatureEntry `json:"features,omitempty"`
-	// Stats carries the run's observability payload — the worker's
-	// local cache effectiveness and stage timings — so the coordinator's
-	// /metrics shows fleet-wide behavior, not just its own.
+	// Stats carries the worker's local score-cache effectiveness, so
+	// the coordinator's /metrics shows fleet-wide behavior, not just its
+	// own. Stage timings travel in Summary.
 	Stats *WorkerRunStats `json:"stats,omitempty"`
 }
 
+// FeatureEntry is one feature vector as older workers shipped it with
+// a completion. Nothing ships, merges or persists vectors any more; the
+// type remains so such a completion still decodes.
+type FeatureEntry struct {
+	ID  uint64
+	Vec []float64
+}
+
 // WorkerRunStats is what one remote run reports about itself: the
-// worker-local cache deltas for the run (hits/misses/evictions during
-// this job only, not since worker start) and the funnel's per-stage
-// wall-clock windows.
+// worker-local score-cache delta for the run (hits/misses/evictions
+// during this job only, not since worker start). Older workers also
+// sent feature_cache, timings and wall_seconds, which decode as
+// unknown fields and are ignored.
 type WorkerRunStats struct {
-	ScoreCache   CacheStats             `json:"score_cache"`
-	FeatureCache CacheStats             `json:"feature_cache"`
-	Timings      []campaign.StageTiming `json:"timings,omitempty"`
-	WallSeconds  float64                `json:"wall_seconds,omitempty"`
+	ScoreCache CacheStats `json:"score_cache"`
 }
 
 // Complete finalizes a leased job with a worker's result and merges
@@ -775,9 +779,6 @@ var (
 
 // ScoreCacheStats snapshots the shared docking-score cache.
 func (s *Service) ScoreCacheStats() CacheStats { return s.scores.Stats() }
-
-// FeatureCacheStats snapshots the shared feature cache.
-func (s *Service) FeatureCacheStats() CacheStats { return s.features.Stats() }
 
 // Uptime reports how long the service has been running.
 func (s *Service) Uptime() time.Duration { return time.Since(s.started) }

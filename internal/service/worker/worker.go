@@ -3,15 +3,14 @@
 // a coordinator over HTTP and posts back the result summary plus the
 // docking results the run computed fresh. The coordinator merges that
 // delta into its sharded score cache, so labels computed on any worker
-// warm the whole cluster's future submissions; feature vectors stay in
-// the worker's own cache (recomputing one from its ID is cheaper than
-// shipping it).
+// warm the whole cluster's future submissions. Feature vectors are
+// neither shipped nor kept: ML1 recomputes each from its library ID.
 //
 // A Worker is a transport, not a second job runner: each leased job
 // runs through service.Holder — the same code the coordinator's
 // in-process holders use, heartbeat policy included — with the Worker
 // answering its Lease, Heartbeat and Complete calls over HTTP and
-// supplying the per-worker caches that persist across jobs.
+// supplying the per-worker score cache that persists across jobs.
 //
 // The shape follows the paper's pilot-job middleware (EnTK/RADICAL
 // pilots pull tasks onto allocated nodes rather than having tasks
@@ -61,8 +60,8 @@ type Options struct {
 	// CampaignWorkers bounds the worker pools inside each campaign
 	// (docking, screening, ESMACS); 0 means GOMAXPROCS.
 	CampaignWorkers int
-	// CacheShards is the lock-stripe width of the per-worker caches; 0
-	// means 16.
+	// CacheShards is the lock-stripe width of the per-worker score
+	// cache; 0 means 16.
 	CacheShards int
 	// MaxCacheEntries soft-bounds the per-worker score cache; 0 means
 	// unbounded.
@@ -77,9 +76,9 @@ type Options struct {
 }
 
 // Worker pulls leased jobs from a coordinator and executes them. Its
-// score and feature caches persist across jobs, so repeated library
-// windows on the same worker dock for free — the same economics the
-// coordinator's shared caches give in-process workers.
+// score cache persists across jobs, so repeated library windows on the
+// same worker dock for free — the same economics the coordinator's
+// shared cache gives in-process holders.
 type Worker struct {
 	opts   Options
 	client *http.Client
@@ -88,7 +87,6 @@ type Worker struct {
 	// client's short timeout (sized for lease/heartbeat round-trips).
 	completeClient *http.Client
 	scores         *service.ScoreCache
-	features       *service.FeatureCache
 	logf           func(string, ...any)
 	holder         *service.Holder // runs each leased job, with this Worker as its transport
 
@@ -119,11 +117,10 @@ func New(opts Options) *Worker {
 		targets[t.Name] = t
 	}
 	w := &Worker{
-		opts:     opts,
-		client:   opts.HTTPClient,
-		scores:   service.NewScoreCache(shards, opts.MaxCacheEntries),
-		features: service.NewFeatureCache(shards, opts.MaxCacheEntries),
-		logf:     opts.Logf,
+		opts:   opts,
+		client: opts.HTTPClient,
+		scores: service.NewScoreCache(shards, opts.MaxCacheEntries),
+		logf:   opts.Logf,
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 30 * time.Second}
@@ -140,7 +137,6 @@ func New(opts Options) *Worker {
 		Name:            "worker " + opts.ID,
 		Targets:         targets,
 		CampaignWorkers: opts.CampaignWorkers,
-		Features:        w.features,
 		Scores:          w.scoresFor,
 		Logf:            w.logf,
 	}
@@ -156,9 +152,6 @@ func (w *Worker) Completed() int64 { return w.completed.Load() }
 // ScoreCacheStats snapshots the worker's persistent score cache — the
 // worker binary's own /metrics listener reads these at scrape time.
 func (w *Worker) ScoreCacheStats() service.CacheStats { return w.scores.Stats() }
-
-// FeatureCacheStats snapshots the worker's persistent feature cache.
-func (w *Worker) FeatureCacheStats() service.CacheStats { return w.features.Stats() }
 
 // Run leases and executes jobs until ctx is canceled. Lease/poll
 // errors are logged and retried — a worker outlives coordinator
@@ -228,13 +221,12 @@ func (w *Worker) Heartbeat(ctx context.Context, g *service.LeaseGrant, stage str
 // scoresFor opens one job's view of the persistent score cache. The
 // view records every fresh docking result, and finish ships that delta
 // with the completion — the coordinator merges it into its sharded
-// cache — together with the run's own cache traffic and timings, so the
+// cache — together with the run's own score-cache traffic, so the
 // coordinator's /metrics shows fleet-wide cache effectiveness
 // (impeccable_worker_cache_*_total).
 func (w *Worker) scoresFor(g *service.LeaseGrant) (dock.ScoreCache, func(*service.WorkerResult)) {
 	rec := &recordingScores{inner: w.scores.ForTarget(g.Req.Target), target: g.Req.Target}
-	scoresBefore, featuresBefore := w.scores.Stats(), w.features.Stats()
-	start := time.Now()
+	before := w.scores.Stats()
 	return rec, func(out *service.WorkerResult) {
 		rec.mu.Lock()
 		delta, dropped := rec.delta, rec.dropped
@@ -244,15 +236,7 @@ func (w *Worker) scoresFor(g *service.LeaseGrant) (dock.ScoreCache, func(*servic
 			w.logf("worker %s: %s delta capped (%d score entries not shipped; coordinator cache stays colder)",
 				w.opts.ID, g.JobID, dropped)
 		}
-		out.Stats = &service.WorkerRunStats{
-			ScoreCache:   statsDelta(scoresBefore, w.scores.Stats()),
-			FeatureCache: statsDelta(featuresBefore, w.features.Stats()),
-			WallSeconds:  time.Since(start).Seconds(),
-		}
-		if out.Summary != nil {
-			out.Stats.Timings = out.Summary.Funnel.Timings
-			out.Stats.WallSeconds = out.Summary.Funnel.WallSeconds
-		}
+		out.Stats = &service.WorkerRunStats{ScoreCache: statsDelta(before, w.scores.Stats())}
 	}
 }
 

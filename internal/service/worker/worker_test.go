@@ -180,8 +180,8 @@ func TestWorkerRunsCampaignRemotely(t *testing.T) {
 	cancel()
 	<-done
 
-	// Feature vectors stay on the worker, which keeps serving ML1 from
-	// its own cache: the upload carries scores and no features.
+	// The upload carries scores, no feature vectors, and stage timings
+	// only in the summary.
 	if len(tap.uploads) != 1 {
 		t.Fatalf("worker made %d complete calls, want 1", len(tap.uploads))
 	}
@@ -195,14 +195,15 @@ func TestWorkerRunsCampaignRemotely(t *testing.T) {
 	if _, ok := upload["features"]; ok {
 		t.Fatalf("upload still carries features (%d bytes in all)", len(tap.uploads[0]))
 	}
-	if st := w.FeatureCacheStats(); st.Entries == 0 {
-		t.Fatalf("worker feature cache empty after its run: %+v", st)
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(upload["stats"], &stats); err != nil {
+		t.Fatal(err)
 	}
-	if st := s.FeatureCacheStats(); st.Entries != 0 {
-		t.Fatalf("coordinator feature cache grew from a remote completion: %+v", st)
+	if len(stats) != 1 || stats["score_cache"] == nil {
+		t.Fatalf("upload stats = %s, want score_cache alone", upload["stats"])
 	}
-	// An older worker's completion that does carry them is still a 200,
-	// and still merges nothing into the feature cache.
+	// An older worker's completion that does carry features is still a
+	// 200.
 	id2, err := s.Submit(smallReq())
 	if err != nil {
 		t.Fatal(err)
@@ -221,12 +222,9 @@ func TestWorkerRunsCampaignRemotely(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("completion carrying features = %d, want 200", resp.StatusCode)
 	}
-	if st := s.FeatureCacheStats(); st.Entries != 0 {
-		t.Fatalf("shipped feature vectors were merged: %+v", st)
-	}
 }
 
-// TestWorkerCachesWarmAcrossJobs: a worker's per-worker caches persist
+// TestWorkerCachesWarmAcrossJobs: a worker's score cache persists
 // across jobs, so an identical second submission docks entirely from
 // cache — zero evaluations — while the science stays identical.
 func TestWorkerCachesWarmAcrossJobs(t *testing.T) {

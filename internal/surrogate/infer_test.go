@@ -131,10 +131,7 @@ func TestPredictIDsNoGoroutineLeak(t *testing.T) {
 // activation allocations, and the old scalar ikj matmul (zero-skip
 // included, since fingerprint rows are sparse and the old kernel's skip
 // was its one optimization).
-func scalarCloneBaseline(m *Model, ids []uint64, workers int, src FeatureSource) []float64 {
-	if src == nil {
-		src = materializeSource{}
-	}
+func scalarCloneBaseline(m *Model, ids []uint64, workers int) []float64 {
 	type dense struct{ w, b *nn.Mat }
 	cloneLayers := func() []dense {
 		var ds []dense
@@ -186,7 +183,7 @@ func scalarCloneBaseline(m *Model, ids []uint64, workers int, src FeatureSource)
 				}
 				x := nn.NewMat(end-at, chem.FeatureDim)
 				for i := at; i < end; i++ {
-					copy(x.Row(i-at), src.Features(ids[i]))
+					copy(x.Row(i-at), chem.FromID(ids[i]).FeatureVector())
 				}
 				h := x
 				for li, d := range ds {
@@ -235,7 +232,7 @@ func BenchmarkPredictIDs(b *testing.B) {
 
 	// Sanity: baseline and pooled path agree before timing anything.
 	want := m.PredictIDs(ids, workers)
-	got := scalarCloneBaseline(m, ids, workers, nil)
+	got := scalarCloneBaseline(m, ids, workers)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			b.Fatalf("baseline diverges at %d: %v vs %v", i, got[i], want[i])
@@ -245,7 +242,7 @@ func BenchmarkPredictIDs(b *testing.B) {
 	start := time.Now()
 	const baseRounds = 3
 	for i := 0; i < baseRounds; i++ {
-		scalarCloneBaseline(m, ids, workers, nil)
+		scalarCloneBaseline(m, ids, workers)
 	}
 	scalarPer := time.Since(start) / baseRounds
 

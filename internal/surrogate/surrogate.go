@@ -213,71 +213,13 @@ func (m *Model) Predict(mols []*chem.Molecule) []float64 {
 // InferenceFlops estimates FLOPs for scoring n molecules.
 func (m *Model) InferenceFlops(n int) int64 { return m.net.ForwardFlops(n) }
 
-// FeatureSource supplies the feature vector of a molecule given its
-// library ID. It is the injection point for caching layers: materializing
-// a molecule and featurizing it is deterministic and identical across
-// tenants, so a long-lived service can memoize vectors once and serve
-// every campaign's ML1 screen from memory. Implementations must be safe
-// for concurrent use; the returned slice is read-only to callers.
-type FeatureSource interface {
-	Features(id uint64) []float64
-}
-
-// BatchFeatureSource is an optional FeatureSource extension for the
-// batched inference path: FeaturesInto writes id's feature vector into
-// dst (length chem.FeatureDim), overwriting every element, instead of
-// returning a freshly allocated or cached slice. Implementations must be
-// safe for concurrent use. Sources that implement it let inference
-// workers featurize directly into kernel input buffers with zero copies
-// and zero per-molecule allocations.
-type BatchFeatureSource interface {
-	FeatureSource
-	FeaturesInto(dst []float64, id uint64)
-}
-
-// materializeSource is the default FeatureSource: build the molecule from
-// its ID and featurize it on the fly.
-type materializeSource struct{}
-
-func (materializeSource) Features(id uint64) []float64 {
-	return chem.FromID(id).FeatureVector()
-}
-
-func (materializeSource) FeaturesInto(dst []float64, id uint64) {
-	chem.FromID(id).FeatureVectorInto(dst)
-}
-
-// fillFeatures loads ids' feature vectors into the rows of x, using the
-// in-place path when the source supports it. Every row is fully
-// overwritten, so x may be arena scratch with arbitrary contents.
-func fillFeatures(x *nn.Mat, ids []uint64, src FeatureSource) {
-	if bs, ok := src.(BatchFeatureSource); ok {
-		for i, id := range ids {
-			bs.FeaturesInto(x.Row(i), id)
-		}
-		return
-	}
-	for i, id := range ids {
-		copy(x.Row(i), src.Features(id))
-	}
-}
-
 // PredictIDs scores library molecule IDs with a parallel worker pool, the
 // high-throughput inference path of §6.1.1 (one MPI rank per GPU with
 // prefetching becomes one goroutine per worker materializing molecules on
 // the fly).
 func (m *Model) PredictIDs(ids []uint64, workers int) []float64 {
-	return m.PredictIDsFrom(ids, workers, nil)
-}
-
-// PredictIDsFrom is PredictIDs with an explicit feature source; nil means
-// materialize molecules on the fly.
-func (m *Model) PredictIDsFrom(ids []uint64, workers int, src FeatureSource) []float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if src == nil {
-		src = materializeSource{}
 	}
 	const shard = 1024
 	out := make([]float64, len(ids))
@@ -308,7 +250,9 @@ func (m *Model) PredictIDsFrom(ids []uint64, workers int, src FeatureSource) []f
 				}
 				ar.Reset()
 				x := ar.Mat(end-at, chem.FeatureDim)
-				fillFeatures(x, ids[at:end], src)
+				for i, id := range ids[at:end] {
+					chem.FromID(id).FeatureVectorInto(x.Row(i))
+				}
 				pred := m.net.Infer(x, ar)
 				for i := at; i < end; i++ {
 					out[i] = pred.At(i-at, 0)

@@ -35,6 +35,7 @@ cleanup() {
     kill "$pid" 2>/dev/null || true
   done
   wait 2>/dev/null || true
+  rm -rf -- "$BIN"
 }
 trap cleanup EXIT
 
@@ -91,13 +92,16 @@ for seed in 1 2 3; do
   }' >/dev/null
 done
 
-echo "== waiting for a job to get leased, then killing worker 1"
+echo "== waiting for worker 1 to hold a lease, then killing it"
+# Only a lease worker 1 holds can expire when it dies: killing it while
+# worker 2 holds the only lease would leave nothing to expire.
 for _ in $(seq 1 100); do
-  leased=$(curl -sf "$BASE/api/v1/campaigns?state=leased" | jq length)
+  leased=$(curl -sf "$BASE/api/v1/campaigns?state=leased" \
+    | jq '[.[] | select(.worker == "smoke-w1")] | length')
   if [ "$leased" -gt 0 ]; then break; fi
   sleep 0.2
 done
-[ "$leased" -gt 0 ] || { echo "no job ever got leased"; exit 1; }
+[ "$leased" -gt 0 ] || { echo "worker 1 never got a lease"; exit 1; }
 
 echo "== scraping /metrics mid-run"
 scrape_metrics midrun
